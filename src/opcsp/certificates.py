@@ -17,71 +17,15 @@ exact cyclotomic arithmetic, and re-expands every collapse subtraction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .consistency import SlacResult
+from .consistency import RefutationChain, SlacResult
 from .csp_core import Instance, instance_digest
-from .cyclotomic import CycNum, UniPoly, embed
+from .cyclotomic import UniPoly, embed
 from .fourier import complement, dom_difference_inverse, dom_polynomial, root_product
 
 FORMAT = "gap-certificate/1"
-
-
-@dataclass(frozen=True)
-class CertStep:
-    constraint: int
-    src_pos: int
-    tgt_pos: int
-    var: str
-    values: tuple
-    inverse: tuple | None  # (q: UniPoly, c: CycNum) for non-terminal steps
-
-    def to_obj(self) -> dict:
-        obj = {
-            "constraint": self.constraint,
-            "src_pos": self.src_pos,
-            "tgt_pos": self.tgt_pos,
-            "var": self.var,
-            "values": list(self.values),
-        }
-        if self.inverse is not None:
-            q, c = self.inverse
-            obj["q"] = q.to_obj()
-            obj["c"] = c.to_obj()
-        return obj
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "CertStep":
-        inverse = None
-        if "q" in obj:
-            inverse = (UniPoly.from_obj(obj["q"]), CycNum.from_obj(obj["c"]))
-        return cls(
-            int(obj["constraint"]),
-            int(obj["src_pos"]),
-            int(obj["tgt_pos"]),
-            str(obj["var"]),
-            tuple(int(a) for a in obj["values"]),
-            inverse,
-        )
-
-
-@dataclass(frozen=True)
-class CertSection:
-    var: str
-    value: int
-    steps: tuple
-
-    def to_obj(self) -> dict:
-        return {"var": self.var, "value": self.value, "steps": [s.to_obj() for s in self.steps]}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "CertSection":
-        return cls(
-            str(obj["var"]),
-            int(obj["value"]),
-            tuple(CertStep.from_obj(s) for s in obj["steps"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -89,7 +33,7 @@ class GapCertificate:
     digest: str
     d: int
     variable: str  # the variable whose whole domain is excluded
-    sections: tuple
+    sections: tuple  # of RefutationChain with witnesses attached
     collapse: tuple  # of (base tuple, r1, r2)
 
     def to_obj(self) -> dict:
@@ -115,7 +59,7 @@ class GapCertificate:
             str(obj["digest"]),
             int(obj["d"]),
             str(obj["variable"]),
-            tuple(CertSection.from_obj(s) for s in obj["sections"]),
+            tuple(RefutationChain.from_obj(s) for s in obj["sections"]),
             tuple(
                 (tuple(int(a) for a in e["base"]), int(e["r1"]), int(e["r2"]))
                 for e in obj["collapse"]
@@ -153,6 +97,17 @@ def collapse_script(d: int) -> tuple:
     return tuple(steps)
 
 
+def compile_chain(chain: RefutationChain, d: int) -> RefutationChain:
+    """The chain as a certificate section: every non-terminal step gets its
+    Bezout witness, the terminal step none."""
+    last = len(chain.steps) - 1
+    steps = tuple(
+        replace(st, inverse=_inverse_witness(d, tuple(sorted(st.values))) if i < last else None)
+        for i, st in enumerate(chain.steps)
+    )
+    return replace(chain, steps=steps)
+
+
 def build_certificate(inst: Instance, result: SlacResult) -> GapCertificate:
     """Compile the chains of a refuted propagation run into a certificate.
 
@@ -165,17 +120,9 @@ def build_certificate(inst: Instance, result: SlacResult) -> GapCertificate:
     sections = []
     emptied = None
     for (v, a), chain in result.chains.items():
-        steps = []
         if not chain.is_contradiction():
             raise ValueError(f"chain for ({v}, {a}) does not end in a contradiction")
-        for i, st in enumerate(chain.steps):
-            inverse = None
-            if i < len(chain.steps) - 1:
-                inverse = _inverse_witness(inst.d, tuple(sorted(st.values)))
-            steps.append(
-                CertStep(st.constraint, st.src_pos, st.tgt_pos, st.var, st.values, inverse)
-            )
-        sections.append(CertSection(v, a, tuple(steps)))
+        sections.append(compile_chain(chain, inst.d))
         domains[v].discard(a)
         if not domains[v]:
             emptied = v
@@ -211,16 +158,72 @@ def _reject(location: tuple, reason: str) -> CheckResult:
     return CheckResult(False, location, reason)
 
 
+def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tuple = ()) -> CheckResult:
+    """Replay one certificate section under `remaining` (variable -> values
+    not yet excluded).
+
+    Checks, in order: that the pinned value is still allowed; that every step
+    is licensed by a constraint of the instance, its recorded set being
+    exactly the image of the previous set through the relation filtered by
+    the replayed domains; that every Bezout witness satisfies p*q = c modulo
+    x^d - 1 with c nonzero; and that the chain terminates in the empty set.
+    """
+    if chain.var not in remaining:
+        return _reject(loc, f"unknown variable {chain.var!r}")
+    if chain.value not in remaining[chain.var]:
+        return _reject(loc, f"value {chain.value} already excluded for {chain.var!r}")
+    if not chain.steps:
+        return _reject(loc, "empty derivation chain")
+    d = inst.d
+    circle = UniPoly.x_pow_minus_one(d)
+    eff = {v: frozenset(vals) for v, vals in remaining.items()}
+    eff[chain.var] = frozenset({chain.value})
+    cur_var, cur_set = chain.var, eff[chain.var]
+    for i, st in enumerate(chain.steps):
+        sloc = loc + ("step", i)
+        if not 0 <= st.constraint < len(inst.constraints):
+            return _reject(sloc, f"no constraint with index {st.constraint}")
+        c = inst.constraints[st.constraint]
+        rel = inst.relation_of(c)
+        if not (0 <= st.src_pos < rel.arity and 0 <= st.tgt_pos < rel.arity):
+            return _reject(sloc, "position outside the constraint scope")
+        if c.scope[st.src_pos] != cur_var:
+            return _reject(sloc, "source position does not carry the current variable")
+        if c.scope[st.tgt_pos] != st.var:
+            return _reject(sloc, "target position does not carry the step variable")
+        doms = [eff[v] for v in c.scope]
+        doms[st.src_pos] = doms[st.src_pos] & cur_set
+        image = rel.projections(doms)[st.tgt_pos]
+        if image != frozenset(st.values):
+            return _reject(sloc, "recorded set is not the licensed image")
+        terminal = i == len(chain.steps) - 1
+        if terminal:
+            if image:
+                return _reject(sloc, "chain does not terminate in the empty set")
+            if st.inverse is not None:
+                return _reject(sloc, "terminal step must not carry a witness")
+        else:
+            if not image:
+                return _reject(sloc, "non-terminal step derived the empty set")
+            if st.inverse is None:
+                return _reject(sloc, "missing Bezout witness")
+            q, cc = st.inverse
+            if cc.is_zero():
+                return _reject(sloc, "witness constant is zero")
+            p = dom_polynomial(image, d) - dom_polynomial(complement(image, d), d)
+            if not ((p * q - UniPoly.constant(cc)) % circle).is_zero():
+                return _reject(sloc, "Bezout identity fails modulo x^d - 1")
+        cur_var, cur_set = st.var, image
+    return CheckResult(True)
+
+
 def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
     """Re-verify a certificate with no trust in its builder.
 
-    Checks, in order: the instance digest; that every chain step is licensed
-    by a constraint of the instance, its recorded set being exactly the image
-    of the previous set through the relation filtered by the replayed
-    domains; that every Bezout witness satisfies p*q = c modulo x^d - 1 with
-    c nonzero; that every section terminates in the empty set; and that the
-    collapse script reaches the empty product from the per-value exclusions
-    of the named variable.
+    Checks, in order: the instance digest; every section with `check_chain`
+    under the domains left by the sections before it; that the named
+    variable has no value left; and that the collapse script reaches the
+    empty product from the per-value exclusions of that variable.
     """
     if cert.digest != instance_digest(inst):
         return _reject(("digest",), "certificate was issued for a different instance")
@@ -229,59 +232,11 @@ def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
         return _reject(("domain",), f"certificate domain size {cert.d} != instance {d}")
     if cert.variable not in inst.variables:
         return _reject(("variable",), f"unknown variable {cert.variable!r}")
-    circle = UniPoly.x_pow_minus_one(d)
     remaining = {v: set(range(d)) for v in inst.variables}
-
     for k, sec in enumerate(cert.sections):
-        loc = ("section", k)
-        if sec.var not in remaining:
-            return _reject(loc, f"unknown variable {sec.var!r}")
-        if sec.value not in remaining[sec.var]:
-            return _reject(loc, f"value {sec.value} already excluded for {sec.var!r}")
-        if not sec.steps:
-            return _reject(loc, "empty derivation chain")
-        eff = {v: frozenset(vals) for v, vals in remaining.items()}
-        eff[sec.var] = frozenset({sec.value})
-        cur_var, cur_set = sec.var, frozenset({sec.value})
-        for i, st in enumerate(sec.steps):
-            sloc = loc + ("step", i)
-            if not 0 <= st.constraint < len(inst.constraints):
-                return _reject(sloc, f"no constraint with index {st.constraint}")
-            c = inst.constraints[st.constraint]
-            rel = inst.relation_of(c)
-            if not (0 <= st.src_pos < rel.arity and 0 <= st.tgt_pos < rel.arity):
-                return _reject(sloc, "position outside the constraint scope")
-            if c.scope[st.src_pos] != cur_var:
-                return _reject(sloc, "source position does not carry the current variable")
-            if c.scope[st.tgt_pos] != st.var:
-                return _reject(sloc, "target position does not carry the step variable")
-            survivors = [
-                t
-                for t in rel.tuples
-                if t[st.src_pos] in cur_set
-                and all(t[j] in eff[c.scope[j]] for j in range(rel.arity))
-            ]
-            image = frozenset(t[st.tgt_pos] for t in survivors)
-            if image != frozenset(st.values):
-                return _reject(sloc, "recorded set is not the licensed image")
-            terminal = i == len(sec.steps) - 1
-            if terminal:
-                if image:
-                    return _reject(sloc, "chain does not terminate in the empty set")
-                if st.inverse is not None:
-                    return _reject(sloc, "terminal step must not carry a witness")
-            else:
-                if not image:
-                    return _reject(sloc, "non-terminal step derived the empty set")
-                if st.inverse is None:
-                    return _reject(sloc, "missing Bezout witness")
-                q, cc = st.inverse
-                if cc.is_zero():
-                    return _reject(sloc, "witness constant is zero")
-                p = dom_polynomial(image, d) - dom_polynomial(complement(image, d), d)
-                if not ((p * q - UniPoly.constant(cc)) % circle).is_zero():
-                    return _reject(sloc, "Bezout identity fails modulo x^d - 1")
-            cur_var, cur_set = st.var, image
+        verdict = check_chain(inst, remaining, sec, ("section", k))
+        if not verdict:
+            return verdict
         remaining[sec.var].discard(sec.value)
 
     if remaining[cert.variable]:

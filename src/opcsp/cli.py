@@ -308,3 +308,7 @@ def main() -> None:
     sys.stdout.write(result.stdout)
     sys.stderr.write(result.stderr)
     sys.exit(result.exit_code)
+
+
+if __name__ == "__main__":
+    main()

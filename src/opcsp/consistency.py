@@ -1,6 +1,5 @@
 """Propagation engines: single-source (linear) arc consistency with full
-provenance, the singleton-probing loop built on top of it, and a classical
-multi-source arc consistency pass for cross-checks.
+provenance and the singleton-probing loop built on top of it.
 
 The linear engine derives facts "variable v lies in S".  Every fact has one
 source fact and one licensing constraint, so walking provenance backwards
@@ -14,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .csp_core import Instance
+from .cyclotomic import CycNum, UniPoly
 
 
 AXIOM = "axiom"
@@ -104,18 +104,13 @@ def linear_ac(inst: Instance, domains: dict | None = None, pin: tuple | None = N
         head += 1
         for ci, src in positions.get(fact.var, ()):
             c = inst.constraints[ci]
-            rel = inst.relation_of(c)
-            survivors = [
-                t
-                for t in sorted(rel.tuples)
-                if t[src] in fact.values
-                and all(t[j] in eff[c.scope[j]] for j in range(rel.arity))
-            ]
-            if not survivors:
+            doms = [eff[v] for v in c.scope]
+            doms[src] = doms[src] & fact.values
+            images = inst.relation_of(c).projections(doms)
+            if not images[src]:
                 empty, _ = store.add(fact.var, frozenset(), (RULE, ci, src, fact.id, src))
                 return LinearAcResult(False, None, store, empty.id)
-            for tgt in range(rel.arity):
-                image = frozenset(t[tgt] for t in survivors)
+            for tgt, image in enumerate(images):
                 derived, new = store.add(
                     c.scope[tgt], image, (RULE, ci, src, fact.id, tgt)
                 )
@@ -135,30 +130,41 @@ class ChainStep:
     tgt_pos: int
     var: str
     values: tuple  # sorted derived set
+    inverse: tuple | None = None  # certificate Bezout witness (q: UniPoly, c: CycNum)
 
     def to_obj(self) -> dict:
-        return {
+        obj = {
             "constraint": self.constraint,
             "src_pos": self.src_pos,
             "tgt_pos": self.tgt_pos,
             "var": self.var,
             "values": list(self.values),
         }
+        if self.inverse is not None:
+            q, c = self.inverse
+            obj["q"] = q.to_obj()
+            obj["c"] = c.to_obj()
+        return obj
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ChainStep":
+        inverse = None
+        if "q" in obj:
+            inverse = (UniPoly.from_obj(obj["q"]), CycNum.from_obj(obj["c"]))
         return cls(
             int(obj["constraint"]),
             int(obj["src_pos"]),
             int(obj["tgt_pos"]),
             str(obj["var"]),
             tuple(int(a) for a in obj["values"]),
+            inverse,
         )
 
 
 @dataclass(frozen=True)
 class RefutationChain:
-    """Single-source derivation from a pinned value to a contradiction."""
+    """Single-source derivation from a pinned value to a contradiction; with
+    witnesses attached it is also a certificate section."""
 
     var: str
     value: int
@@ -233,65 +239,6 @@ def slac(inst: Instance) -> SlacResult:
                     changed = True
     consistent = all(domains[v] for v in inst.variables)
     return SlacResult(domains, consistent, chains)
-
-
-def replay_chain(inst: Instance, domains: dict, chain: RefutationChain) -> bool:
-    """Re-derive every step of a chain under the given starting domains;
-    True iff each recorded set equals the recomputed image and the final set
-    is empty."""
-    eff = {v: frozenset(domains[v]) for v in inst.variables}
-    if chain.value not in eff[chain.var]:
-        return False
-    eff[chain.var] = frozenset({chain.value})
-    cur_var, cur_set = chain.var, frozenset({chain.value})
-    for idx, step in enumerate(chain.steps):
-        if not 0 <= step.constraint < len(inst.constraints):
-            return False
-        c = inst.constraints[step.constraint]
-        rel = inst.relation_of(c)
-        if not (0 <= step.src_pos < rel.arity and 0 <= step.tgt_pos < rel.arity):
-            return False
-        if c.scope[step.src_pos] != cur_var or c.scope[step.tgt_pos] != step.var:
-            return False
-        survivors = [
-            t
-            for t in rel.tuples
-            if t[step.src_pos] in cur_set
-            and all(t[j] in eff[c.scope[j]] for j in range(rel.arity))
-        ]
-        image = frozenset(t[step.tgt_pos] for t in survivors)
-        if image != frozenset(step.values):
-            return False
-        if not image and idx != len(chain.steps) - 1:
-            return False
-        cur_var, cur_set = step.var, image
-    return chain.is_contradiction()
-
-
-def full_ac(inst: Instance, domains: dict | None = None) -> tuple[bool, dict]:
-    """Classical multi-source arc consistency fixpoint (cross-check oracle)."""
-    eff = dict(domains) if domains is not None else full_domains(inst)
-    for v in inst.variables:
-        eff.setdefault(v, frozenset(range(inst.d)))
-    changed = True
-    while changed:
-        changed = False
-        for c in inst.constraints:
-            rel = inst.relation_of(c)
-            survivors = [
-                t
-                for t in rel.tuples
-                if all(t[j] in eff[c.scope[j]] for j in range(rel.arity))
-            ]
-            for pos in range(rel.arity):
-                proj = frozenset(t[pos] for t in survivors)
-                var = c.scope[pos]
-                narrowed = eff[var] & proj
-                if narrowed != eff[var]:
-                    eff[var] = narrowed
-                    changed = True
-    consistent = all(eff[v] for v in inst.variables)
-    return consistent, eff
 
 
 # ---------------------------------------------------------------------------

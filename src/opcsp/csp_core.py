@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import product
+from operator import contains
 
 
 class InstanceFormatError(ValueError):
@@ -41,6 +42,16 @@ class Relation:
     def sorted_tuples(self) -> list:
         return sorted(self.tuples)
 
+    def projections(self, doms) -> tuple:
+        """Per position, the values of the tuples whose every coordinate lies
+        in the allowed set of its position (`doms`, one set per position); all
+        empty when no tuple survives.  The one tuple-support scan of the
+        propagation engine and the certificate checker."""
+        alive = [t for t in self.tuples if all(map(contains, doms, t))]
+        if not alive:
+            return (frozenset(),) * self.arity
+        return tuple(map(frozenset, zip(*alive)))
+
     def __contains__(self, t) -> bool:
         return tuple(t) in self.tuples
 
@@ -65,11 +76,6 @@ class Language:
         for name, rel in self.relations.items():
             if rel.d != self.d:
                 raise ValueError(f"relation {name!r} has domain size {rel.d}, expected {self.d}")
-
-    def with_relation(self, name: str, rel: Relation) -> "Language":
-        rels = dict(self.relations)
-        rels[name] = rel
-        return Language(self.d, rels)
 
     def without(self, name: str) -> "Language":
         rels = {n: r for n, r in self.relations.items() if n != name}
@@ -155,6 +161,16 @@ def instance_digest(inst: Instance) -> str:
     return hashlib.sha256(serialize_instance(inst).encode("utf-8")).hexdigest()
 
 
+def _positive_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise InstanceFormatError(f"malformed document: {what} must be a list")
+    return x
+
+
 def load_instance(document: str) -> Instance:
     try:
         obj = json.loads(document)
@@ -166,14 +182,21 @@ def load_instance(document: str) -> Instance:
         if key not in obj:
             raise InstanceFormatError(f"malformed document: missing key {key!r}")
     d = obj["d"]
-    if not isinstance(d, int) or d < 1:
+    if not _positive_int(d):
         raise InstanceFormatError("malformed document: d must be a positive integer")
+    if not isinstance(obj["relations"], dict):
+        raise InstanceFormatError("malformed document: relations must be an object")
     rels = {}
     for name, entry in obj["relations"].items():
         if not isinstance(entry, dict) or "arity" not in entry or "tuples" not in entry:
             raise InstanceFormatError(f"malformed document: relation {name!r}")
         arity = entry["arity"]
-        tuples = frozenset(tuple(int(a) for a in t) for t in entry["tuples"])
+        if not _positive_int(arity):
+            raise InstanceFormatError(f"malformed document: arity of relation {name!r}")
+        tuples = frozenset(
+            tuple(int(a) for a in _list(t, f"a tuple of relation {name!r}"))
+            for t in _list(entry["tuples"], f"tuples of relation {name!r}")
+        )
         for t in tuples:
             if len(t) != arity:
                 raise InstanceFormatError(
@@ -182,12 +205,12 @@ def load_instance(document: str) -> Instance:
             if any(not (0 <= a < d) for a in t):
                 raise InstanceFormatError(f"value out of domain in relation {name!r}: {t}")
         rels[name] = Relation(arity, d, tuples)
-    variables = [str(v) for v in obj["variables"]]
+    variables = [str(v) for v in _list(obj["variables"], "variables")]
     constraints = []
-    for c in obj["constraints"]:
-        if not isinstance(c, dict) or "scope" not in c or "rel" not in c:
+    for c in _list(obj["constraints"], "constraints"):
+        if not isinstance(c, dict) or "scope" not in c or not isinstance(c.get("rel"), str):
             raise InstanceFormatError("malformed document: constraint entries need scope and rel")
-        constraints.append((tuple(str(v) for v in c["scope"]), c["rel"]))
+        constraints.append((tuple(str(v) for v in _list(c["scope"], "scope")), c["rel"]))
     lang = Language(d, rels)
     return Instance(d, tuple(variables), tuple(Constraint(s, r) for s, r in constraints), lang)
 

@@ -509,11 +509,6 @@ def cyclotomic_polynomial(L: int) -> UniPoly:
     return UniPoly([CycNum.from_rational(c) for c in cyclotomic_int_coeffs(L)])
 
 
-def poly_eval(p: UniPoly, a) -> CycNum:
-    """Horner evaluation of p at a, exact."""
-    return p.eval(a)
-
-
 def poly_ext_gcd(p: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     """Extended Euclid over Q(zeta): returns monic g and u, v with u*p + v*m = g."""
     if p.is_zero() and m.is_zero():

@@ -249,8 +249,3 @@ def dom_difference_inverse(S, d: int) -> tuple[UniPoly, CycNum]:
     witness always exists."""
     p = dom_polynomial(S, d) - dom_polynomial(complement(S, d), d)
     return _inverse_mod_circle(p, d)
-
-
-def multipoly_eval(p: MultiPoly, point) -> CycNum:
-    """Exact evaluation at a tuple of CycNum values."""
-    return p.eval(point)

@@ -9,13 +9,14 @@ Exact CycNum coefficients cross into complex doubles only here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from .csp_core import Instance
-from .cyclotomic import CycNum, UniPoly, embed
+from .cyclotomic import UniPoly, embed
 from .fourier import MultiPoly, relation_polynomial
 
 DEFAULT_TOL = 1e-8
@@ -49,10 +50,6 @@ def commutator_norm(A, B) -> float:
     return fro(M @ N - N @ M)
 
 
-def cyc_to_complex(c: CycNum) -> complex:
-    return c.to_complex()
-
-
 def eval_multipoly_matrix(poly: MultiPoly, mats) -> np.ndarray:
     """Evaluate a polynomial at a tuple of (pairwise commuting) matrices."""
     mats = [_as_matrix(M) for M in mats]
@@ -76,7 +73,7 @@ def eval_multipoly_matrix(poly: MultiPoly, mats) -> np.ndarray:
         powers.append(row)
     out = np.zeros((n, n), dtype=complex)
     for exps, coeff in poly.terms.items():
-        term = np.eye(n, dtype=complex) * cyc_to_complex(coeff)
+        term = np.eye(n, dtype=complex) * coeff.to_complex()
         for j, e in enumerate(exps):
             if e:
                 term = term @ powers[j][e]
@@ -90,7 +87,7 @@ def apply_unipoly_matrix(p: UniPoly, A) -> np.ndarray:
     n = M.shape[0]
     out = np.zeros((n, n), dtype=complex)
     for c in reversed(p.coeffs):
-        out = out @ M + cyc_to_complex(c) * np.eye(n)
+        out = out @ M + c.to_complex() * np.eye(n)
     return out
 
 
@@ -175,32 +172,31 @@ class VerificationReport:
     commutation: list = field(default_factory=list)  # (constraint idx, u, w, res)
     polynomial: list = field(default_factory=list)  # (constraint idx, res)
 
-    @property
-    def max_residual(self) -> float:
-        worst = 0.0
-        for _, a, b in self.normality:
-            worst = max(worst, a, b)
-        for _, _, _, r in self.commutation:
-            worst = max(worst, r)
-        for _, r in self.polynomial:
-            worst = max(worst, r)
-        return worst
+    def _residuals(self):
+        """(label, residual) for every check, in report order."""
+        for v, a, b in self.normality:
+            yield f"normality {v}", a
+            yield f"order {v}", b
+        for ci, u, w, r in self.commutation:
+            yield f"commutation c{ci} {u},{w}", r
+        for ci, r in self.polynomial:
+            yield f"polynomial c{ci}", r
 
     @property
     def worst_offender(self) -> tuple[str, float]:
+        """The largest residual and its label; the first NaN or inf outranks
+        every finite residual."""
         label, worst = "none", 0.0
-        for v, a, b in self.normality:
-            if a > worst:
-                label, worst = f"normality {v}", a
-            if b > worst:
-                label, worst = f"order {v}", b
-        for ci, u, w, r in self.commutation:
+        for name, r in self._residuals():
+            if not math.isfinite(r):
+                return name, r
             if r > worst:
-                label, worst = f"commutation c{ci} {u},{w}", r
-        for ci, r in self.polynomial:
-            if r > worst:
-                label, worst = f"polynomial c{ci}", r
+                label, worst = name, r
         return label, worst
+
+    @property
+    def max_residual(self) -> float:
+        return self.worst_offender[1]
 
     @property
     def verdict(self) -> str:

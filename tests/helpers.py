@@ -1,7 +1,9 @@
-"""Shared corpus generators for the propagation and certificate test suites."""
+"""Shared corpus generators and oracles for the propagation and certificate
+test suites."""
 
 import random
 
+from opcsp.consistency import full_domains
 from opcsp.csp_core import Instance, Language, make_instance
 from opcsp.gap_instances import horn_language, shift_language, two_clause_language
 
@@ -49,3 +51,32 @@ def bounded_width_corpus(seed: int, count: int, max_vars: int = 10):
         ncons = rng.randint(nvars, 2 * nvars)
         out.append(random_language_instance(rng, lang, nvars, ncons))
     return out
+
+
+def full_ac(inst: Instance, domains: dict | None = None) -> tuple[bool, dict]:
+    """Classical multi-source arc consistency fixpoint (cross-check oracle).
+
+    Scans the tuples itself rather than through Relation.projections, so it
+    stays an independent reference for the propagation engine."""
+    eff = dict(domains) if domains is not None else full_domains(inst)
+    for v in inst.variables:
+        eff.setdefault(v, frozenset(range(inst.d)))
+    changed = True
+    while changed:
+        changed = False
+        for c in inst.constraints:
+            rel = inst.relation_of(c)
+            survivors = [
+                t
+                for t in rel.tuples
+                if all(t[j] in eff[c.scope[j]] for j in range(rel.arity))
+            ]
+            for pos in range(rel.arity):
+                proj = frozenset(t[pos] for t in survivors)
+                var = c.scope[pos]
+                narrowed = eff[var] & proj
+                if narrowed != eff[var]:
+                    eff[var] = narrowed
+                    changed = True
+    consistent = all(eff[v] for v in inst.variables)
+    return consistent, eff

@@ -26,7 +26,6 @@ from opcsp.fourier import (
     complement,
     dom_gap_inverse,
     dom_polynomial,
-    multipoly_eval,
     relation_polynomial,
     root_product,
     rule_polynomial,
@@ -113,14 +112,15 @@ def test_criterion_2_refutations_and_certificates():
 def _perturbed_certificates(cert):
     """One variant per witness coefficient (plus a derived-set tamper when a
     chain carries no witness at all)."""
-    from opcsp.certificates import CertSection, CertStep, GapCertificate
+    from opcsp.certificates import GapCertificate
+    from opcsp.consistency import ChainStep, RefutationChain
 
     def swap(k, i, step):
         steps = list(cert.sections[k].steps)
         steps[i] = step
         sections = list(cert.sections)
         sec = cert.sections[k]
-        sections[k] = CertSection(sec.var, sec.value, tuple(steps))
+        sections[k] = RefutationChain(sec.var, sec.value, tuple(steps))
         return GapCertificate(cert.digest, cert.d, cert.variable, tuple(sections), cert.collapse)
 
     had_witness = False
@@ -134,17 +134,17 @@ def _perturbed_certificates(cert):
             for pos in range(len(coeffs)):
                 bumped = list(coeffs)
                 bumped[pos] = bumped[pos] + CycNum.from_rational(Fraction(1, 7))
-                yield swap(k, i, CertStep(
+                yield swap(k, i, ChainStep(
                     st.constraint, st.src_pos, st.tgt_pos, st.var, st.values,
                     (UniPoly(bumped), c),
                 ))
-            yield swap(k, i, CertStep(
+            yield swap(k, i, ChainStep(
                 st.constraint, st.src_pos, st.tgt_pos, st.var, st.values,
                 (q, c + CycNum.one()),
             ))
     if not had_witness:
         st = cert.sections[0].steps[0]
-        yield swap(0, 0, CertStep(
+        yield swap(0, 0, ChainStep(
             st.constraint, st.src_pos, st.tgt_pos, st.var,
             tuple(sorted(set(st.values) ^ {0})), st.inverse,
         ))
@@ -160,7 +160,7 @@ def test_criterion_3_fourier_round_trip():
         for a in product(range(rel.d), repeat=rel.arity):
             point = [lam[rel.d][k] for k in a]
             expected = lam0 if a in rel else lam1
-            assert multipoly_eval(poly, point) == expected
+            assert poly.eval(point) == expected
 
     universe = list(product(range(3), repeat=2))
     for mask in range(2 ** 9):

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from opcsp.certificates import (
-    CertSection,
-    CertStep,
     GapCertificate,
     build_certificate,
     check_certificate,
     collapse_script,
     certify,
 )
-from opcsp.consistency import slac
+from opcsp.consistency import ChainStep, RefutationChain, slac
 from opcsp.csp_core import brute_force_solve, iter_solutions, make_instance
 from opcsp.cyclotomic import CycNum, UniPoly
 from opcsp.fourier import dom_polynomial
@@ -103,13 +101,13 @@ def _with_perturbed_witness(cert: GapCertificate, k: int, i: int) -> GapCertific
     q, c = st.inverse
     coeffs = list(q.coeffs) if not q.is_zero() else [CycNum.zero()]
     coeffs[0] = coeffs[0] + CycNum.from_rational(Fraction(1, 3))
-    bad_step = CertStep(
+    bad_step = ChainStep(
         st.constraint, st.src_pos, st.tgt_pos, st.var, st.values, (UniPoly(coeffs), c)
     )
     steps = list(sec.steps)
     steps[i] = bad_step
     sections = list(cert.sections)
-    sections[k] = CertSection(sec.var, sec.value, tuple(steps))
+    sections[k] = RefutationChain(sec.var, sec.value, tuple(steps))
     return GapCertificate(cert.digest, cert.d, cert.variable, tuple(sections), cert.collapse)
 
 
@@ -127,12 +125,12 @@ def test_unlicensed_rule_rejected():
     sec = cert.sections[0]
     st = sec.steps[0]
     # cite the other unary constraint: its image set is not the recorded one
-    forged_step = CertStep(1 - st.constraint, st.src_pos, st.tgt_pos, st.var, st.values, st.inverse)
+    forged_step = ChainStep(1 - st.constraint, st.src_pos, st.tgt_pos, st.var, st.values, st.inverse)
     forged = GapCertificate(
         cert.digest,
         cert.d,
         cert.variable,
-        (CertSection(sec.var, sec.value, (forged_step,)),) + cert.sections[1:],
+        (RefutationChain(sec.var, sec.value, (forged_step,)),) + cert.sections[1:],
         cert.collapse,
     )
     verdict = check_certificate(inst, forged)
@@ -144,7 +142,7 @@ def test_tampered_set_rejected():
     inst, cert, k, i = find_cert_with_witness()
     sec = cert.sections[k]
     st = sec.steps[i]
-    tampered = CertStep(
+    tampered = ChainStep(
         st.constraint,
         st.src_pos,
         st.tgt_pos,
@@ -155,7 +153,7 @@ def test_tampered_set_rejected():
     steps = list(sec.steps)
     steps[i] = tampered
     sections = list(cert.sections)
-    sections[k] = CertSection(sec.var, sec.value, tuple(steps))
+    sections[k] = RefutationChain(sec.var, sec.value, tuple(steps))
     bad = GapCertificate(cert.digest, cert.d, cert.variable, tuple(sections), cert.collapse)
     verdict = check_certificate(inst, bad)
     assert not verdict.accepted

@@ -1,7 +1,12 @@
 """End-to-end CLI runs over temporary document files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opcsp.cli import dispatch
@@ -81,6 +86,19 @@ def test_verify_ops_violating(magic_path, tmp_path):
     path.write_text(operator_assignment_to_json(ident))
     result = dispatch(["verify-ops", magic_path, str(path)])
     assert result.exit_code == 1
+    assert "verdict: VIOLATING" in result.stdout
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_verify_ops_non_finite_entry_violating(magic_path, tmp_path, entry):
+    mats = {v: M.copy() for v, M in pauli_fixture().items()}
+    mats["x5"][0, 0] = entry
+    path = tmp_path / "poisoned.ops"
+    path.write_text(operator_assignment_to_json(OperatorAssignment(4, mats)))
+    result = dispatch(["verify-ops", magic_path, str(path)])
+    assert result.exit_code == 1
+    assert "worst: normality x5 " in result.stdout
     assert "verdict: VIOLATING" in result.stdout
 
 
@@ -305,3 +323,51 @@ def test_seed_reproducibility(magic_path):
     a = dispatch(["--seed", "7", "slac", magic_path])
     b = dispatch(["--seed", "7", "slac", magic_path])
     assert a.stdout == b.stdout and a.exit_code == b.exit_code
+
+
+def _first_relation(obj):
+    return obj["relations"][sorted(obj["relations"])[0]]
+
+
+def _d_true(obj):
+    # every tuple inside {0}, so only the type of d is wrong
+    obj["d"] = True
+    for rel in obj["relations"].values():
+        rel["tuples"] = [[0] * rel["arity"]]
+
+
+DOCUMENT_MUTATIONS = {
+    "d-true": _d_true,
+    "relations-list": lambda obj: obj.update(relations=[]),
+    "arity-string": lambda obj: _first_relation(obj).update(arity="3"),
+    "arity-float": lambda obj: _first_relation(obj).update(arity=3.0),
+    "arity-true": lambda obj: _first_relation(obj).update(arity=True),
+    "tuples-number": lambda obj: _first_relation(obj).update(tuples=3),
+    "variables-number": lambda obj: obj.update(variables=3),
+    "constraints-object": lambda obj: obj.update(constraints={}),
+    "scope-number": lambda obj: obj["constraints"][0].update(scope=3),
+    "rel-list": lambda obj: obj["constraints"][0].update(rel=["Rminus"]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(DOCUMENT_MUTATIONS))
+def test_malformed_document_exits_two(tmp_path, mutation):
+    obj = json.loads(serialize_instance(magic_square()))
+    DOCUMENT_MUTATIONS[mutation](obj)
+    path = tmp_path / "bad.inst"
+    path.write_text(json.dumps(obj))
+    result = dispatch(["slac", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error:")
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "opcsp.cli", "gen", "magic-square"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == serialize_instance(magic_square()) + "\n"
+

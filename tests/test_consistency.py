@@ -1,23 +1,23 @@
-"""Linear propagation, singleton probing, chains, and the classical AC cross-check."""
+"""Linear propagation, singleton probing, chains, the tuple-support kernel,
+and the classical AC cross-check."""
 
 import random
 
 import pytest
 
+from opcsp.certificates import check_chain, compile_chain
 from opcsp.consistency import (
     extract_chain,
-    full_ac,
     full_domains,
     linear_ac,
-    replay_chain,
     slac,
     slac_result_from_json,
     slac_result_to_json,
 )
 from opcsp.csp_core import brute_force_solve, make_instance
-from opcsp.gap_instances import magic_square
+from opcsp.gap_instances import linear_system_instance, magic_square, parse_linear_system
 
-from helpers import bounded_width_corpus
+from helpers import bounded_width_corpus, full_ac
 
 
 def implication_chain_instance():
@@ -38,7 +38,7 @@ def test_linear_ac_three_step_refutation():
     assert len(chain.steps) == 3
     assert [s.var for s in chain.steps] == ["y", "z", "z"]
     assert [s.values for s in chain.steps] == [(1,), (1,), ()]
-    assert replay_chain(inst, full_domains(inst), chain)
+    assert check_chain(inst, full_domains(inst), compile_chain(chain, inst.d)).accepted
 
 
 def test_linear_ac_pin_only_no_constraints():
@@ -55,6 +55,31 @@ def test_linear_ac_magic_square_pin_keeps_full_domains():
     for v in inst.variables:
         expected = frozenset({0}) if v == "x1" else frozenset({0, 1})
         assert result.domains[v] == expected
+
+
+def test_linear_ac_repeated_scope_variable():
+    # The zsum padding (u, w, t, t) repeats t.  Each position is filtered by
+    # its own domain, so t may differ between its two positions and pinning u
+    # forces neither w nor t.
+    inst = linear_system_instance(parse_linear_system("x0 + x1 = 1\n", 2))
+    u, w, t, t_again = next(c.scope for c in inst.constraints if c.rel == "zsum")
+    assert t == t_again
+    result = linear_ac(inst, pin=(u, 1))
+    assert result.consistent
+    assert result.domains == {
+        v: frozenset({1}) if v == u else frozenset({0, 1}) for v in inst.variables
+    }
+    # A derived fact about a repeated variable filters only its source
+    # position: from t in {0}, u + 0 + t = 0 over Z_3 leaves u free.
+    inst = make_instance(
+        3,
+        ["s", "t", "u"],
+        [(("s", "t"), "eq"), (("u", "t", "t"), "sum0")],
+        {"eq": [(a, a) for a in range(3)], "sum0": [(a, b, (-a - b) % 3) for a in range(3) for b in range(3)]},
+    )
+    result = linear_ac(inst, pin=("s", 0))
+    assert result.consistent
+    assert result.domains == {"s": frozenset({0}), "t": frozenset({0}), "u": frozenset({0, 1, 2})}
 
 
 def two_sat_contradiction():
@@ -200,7 +225,7 @@ def test_chain_validity_replays_forward():
         domains = full_domains(inst)
         result = slac(inst)
         for (v, a), chain in result.chains.items():
-            assert replay_chain(inst, domains, chain)
+            assert check_chain(inst, domains, compile_chain(chain, inst.d)).accepted
             domains[v] = domains[v] - {a}
 
 

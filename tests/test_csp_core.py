@@ -135,3 +135,25 @@ def test_brute_force_guard():
     inst = make_instance(10, [f"v{i}" for i in range(9)], [], {"r": [(0,)]})
     with pytest.raises(ValueError, match="guard"):
         brute_force_solve(inst)
+
+
+def test_projections_match_brute_force():
+    rng = random.Random(2026)
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        arity = rng.randint(1, 4)
+        universe = list(product(range(d), repeat=arity))
+        rel = Relation(arity, d, frozenset(rng.sample(universe, rng.randint(0, len(universe)))))
+        doms = []
+        for _ in range(arity):
+            kind = rng.choice(("empty", "full", "random"))
+            if kind == "empty":
+                doms.append(frozenset())
+            elif kind == "full":
+                doms.append(frozenset(range(d)))
+            else:
+                doms.append(frozenset(a for a in range(d) if rng.random() < 0.5))
+        alive = [t for t in rel.tuples if all(t[j] in doms[j] for j in range(arity))]
+        expected = tuple(frozenset(t[j] for t in alive) for j in range(arity))
+        assert rel.projections(doms) == expected
+

@@ -12,7 +12,6 @@ from opcsp.cyclotomic import (
     embed,
     phi_degree,
     poly_ext_gcd,
-    poly_eval,
 )
 
 
@@ -181,12 +180,12 @@ def test_ext_gcd_bezout_identity_random():
 
 def test_poly_eval_examples():
     x = UniPoly.x()
-    assert poly_eval(x + UniPoly.constant(1), embed(1, 2)).is_zero()
-    assert poly_eval(UniPoly.x_pow_minus_one(3), embed(1, 3)).is_zero()
+    assert (x + UniPoly.constant(1)).eval(embed(1, 2)).is_zero()
+    assert UniPoly.x_pow_minus_one(3).eval(embed(1, 3)).is_zero()
     # domain polynomial for {0} at d=2 is 2 - x; at lambda_0 it evaluates to 1
     dom = UniPoly([2, -1])
-    assert poly_eval(dom, embed(0, 2)) == 1
-    assert poly_eval(dom, embed(1, 2)) == 3
+    assert dom.eval(embed(0, 2)) == 1
+    assert dom.eval(embed(1, 2)) == 3
 
 
 def test_phi_degree_matches_totient():

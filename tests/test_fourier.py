@@ -13,7 +13,6 @@ from opcsp.fourier import (
     dom_difference_inverse,
     dom_gap_inverse,
     dom_polynomial,
-    multipoly_eval,
     relation_polynomial,
     root_product,
     rule_polynomial,
@@ -25,7 +24,7 @@ def poly_matches_relation(rel: Relation) -> bool:
     lam0, lam1 = embed(0, rel.d), embed(1, rel.d)
     for a in product(range(rel.d), repeat=rel.arity):
         point = [embed(k, rel.d) for k in a]
-        value = multipoly_eval(p, point)
+        value = p.eval(point)
         expected = lam0 if a in rel else lam1
         if value != expected:
             return False
@@ -50,7 +49,7 @@ def test_equality_relation_d2():
     p = relation_polynomial(rel)
     assert p == MultiPoly(2, p.vars, {(1, 1): 1})
     # mixed point evaluates to lambda_1
-    assert multipoly_eval(p, [embed(0, 2), embed(1, 2)]) == embed(1, 2)
+    assert p.eval([embed(0, 2), embed(1, 2)]) == embed(1, 2)
 
 
 def test_empty_relation_is_constant_lambda1():
@@ -123,14 +122,14 @@ def test_rule_polynomial_vanishes_for_sound_rules():
                 rule = rule_polynomial(S, rel, image, i, j)
                 for a in universe:
                     point = [embed(k, d) for k in a]
-                    assert multipoly_eval(rule, point).is_zero()
+                    assert rule.eval(point).is_zero()
 
 
 def test_rule_polynomial_detects_unsound_target():
     rel = Relation(2, 2, frozenset({(0, 1)}))
     rule = rule_polynomial({0}, rel, set(), 0, 1)  # target set misses the image {1}
     point = [embed(0, 2), embed(1, 2)]
-    assert not multipoly_eval(rule, point).is_zero()
+    assert not rule.eval(point).is_zero()
 
 
 def test_rule_polynomial_full_source_reduces_first_factor_to_one():
@@ -222,8 +221,8 @@ def test_dom_difference_inverse_every_subset():
 def test_multipoly_eval_examples():
     rel = Relation(3, 2, frozenset(t for t in product(range(2), repeat=3) if sum(t) % 2 == 0))
     p = relation_polynomial(rel)
-    assert multipoly_eval(p, [CycNum.one()] * 3) == 1
+    assert p.eval([CycNum.one()] * 3) == 1
     const = MultiPoly.constant(1, 2, ("x", "y"))
-    assert multipoly_eval(const, [embed(1, 2), embed(1, 2)]) == 1
+    assert const.eval([embed(1, 2), embed(1, 2)]) == 1
     with pytest.raises(ValueError):
-        multipoly_eval(const, [CycNum.one()])
+        const.eval([CycNum.one()])

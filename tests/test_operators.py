@@ -73,6 +73,18 @@ def test_verify_assignment_identity_violates():
     assert abs(worst - fro(2 * np.eye(4))) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_verify_assignment_non_finite_entry_violates(entry):
+    mats = {v: M.copy() for v, M in pauli_fixture().items()}
+    mats["x5"][0, 0] = entry
+    rep = verify_assignment(magic_square(), OperatorAssignment(4, mats))
+    assert rep.verdict == "VIOLATING"
+    label, worst = rep.worst_offender
+    assert label == "normality x5" and not np.isfinite(worst)
+    assert not np.isfinite(rep.max_residual)
+
+
 def test_verify_missing_variable_raises():
     inst = magic_square()
     partial = OperatorAssignment(2, {"x1": Z})
