@@ -172,8 +172,9 @@ def _cmd_audit(args) -> int:
         return 2
     cert = certificates.build_certificate(inst, result)
     verdict = certificates.check_certificate(inst, cert)
-    if not verdict.accepted:
-        raise RuntimeError(f"self-check failed: {verdict.describe()}")
+    if not verdict.accepted:  # a --trace chain that does not replay
+        print(f"error: self-check failed: {verdict.describe()}", file=sys.stderr)
+        return 2
     _emit(cert.to_json(), args.out)
     print(
         f"certified: no operator assignment (sections={len(cert.sections)}, "
@@ -206,50 +207,56 @@ def _transport(args, transport) -> None:
         fh.write(operators.operator_assignment_to_json(carried) + "\n")
 
 
-def _cmd_reduce(args, seed: int) -> int:
+def _reduce_gadget(inst, args):
+    formula = reductions.PPFormula.from_obj(json.loads(_read(args.formula)))
+    mapped = reductions.gadgetize(inst, formula, args.target)
+    return mapped, lambda assignment: reductions.lift_assignment(
+        inst, formula, args.target, mapped, assignment, seed=args.seed
+    )
+
+
+def _reduce_collapse(inst, args):
+    mapped = reductions.collapse_equalities(inst)
+    return mapped, lambda assignment: reductions.restrict_to(assignment, mapped.variables)
+
+
+def _reduce_commgadget(inst, args):
+    return reductions.add_commutativity_gadget(inst), lambda assignment: assignment
+
+
+def _reduce_constants(inst, args):
+    mapped = reductions.constants_reduction(inst)
+    return mapped, lambda assignment: reductions.extend_with_anchor_scalars(assignment, mapped)
+
+
+def _reduce_restrict(inst, args):
+    table = tuple(int(x) for x in args.image.split(","))
+    return reductions.restrict_transport(inst, reductions.UnaryMap(inst.d, args.dto, table))
+
+
+def _reduce_factor(inst, args):
+    classes = tuple(
+        frozenset(int(x) for x in part.split(",")) for part in args.classes.split("|")
+    )
+    theta = reductions.Congruence(sum(len(c) for c in classes), classes)
+    return reductions.factor_transport(inst, theta)
+
+
+# reduction name -> builder of (mapped instance, operator transport)
+_REDUCTIONS = {
+    "gadget": _reduce_gadget,
+    "collapse": _reduce_collapse,
+    "commgadget": _reduce_commgadget,
+    "core": lambda inst, args: reductions.core_instance(inst),
+    "constants": _reduce_constants,
+    "restrict": _reduce_restrict,
+    "factor": _reduce_factor,
+}
+
+
+def _cmd_reduce(args) -> int:
     inst = _load_instance(args.instance)
-    if args.reduction == "gadget":
-        formula = reductions.PPFormula.from_obj(json.loads(_read(args.formula)))
-        mapped = reductions.gadgetize(inst, formula, args.target)
-
-        def transport(assignment):
-            return reductions.lift_assignment(
-                inst, formula, args.target, mapped, assignment, seed=seed
-            )
-
-    elif args.reduction == "collapse":
-        mapped = reductions.collapse_equalities(inst)
-
-        def transport(assignment):
-            return reductions.restrict_to(assignment, mapped.variables)
-
-    elif args.reduction == "commgadget":
-        mapped = reductions.add_commutativity_gadget(inst)
-
-        def transport(assignment):
-            return assignment
-
-    elif args.reduction == "core":
-        mapped, transport = reductions.core_instance(inst)
-    elif args.reduction == "constants":
-        mapped = reductions.constants_reduction(inst)
-
-        def transport(assignment):
-            return reductions.extend_with_anchor_scalars(assignment, mapped)
-
-    elif args.reduction == "restrict":
-        table = tuple(int(x) for x in args.image.split(","))
-        pi = reductions.UnaryMap(inst.d, args.dto, table)
-        mapped, transport = reductions.restrict_transport(inst, pi)
-    elif args.reduction == "factor":
-        classes = tuple(
-            frozenset(int(x) for x in part.split(","))
-            for part in args.classes.split("|")
-        )
-        theta = reductions.Congruence(sum(len(c) for c in classes), classes)
-        mapped, transport = reductions.factor_transport(inst, theta)
-    else:  # pragma: no cover
-        raise UsageError(f"unknown reduction {args.reduction!r}")
+    mapped, transport = _REDUCTIONS[args.reduction](inst, args)
     _emit(csp_core.serialize_instance(mapped), args.out)
     _transport(args, transport)
     return 0
@@ -265,29 +272,25 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "solve": _cmd_solve,
+    "slac": _cmd_slac,
+    "verify-ops": _cmd_verify_ops,
+    "audit": _cmd_audit,
+    "poly": _cmd_poly,
+    "reduce": _cmd_reduce,
+    "gen": _cmd_gen,
+}
+
+
 def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "slac":
-            return _cmd_slac(args)
-        if args.command == "verify-ops":
-            return _cmd_verify_ops(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "poly":
-            return _cmd_poly(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args, args.seed)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (csp_core.InstanceFormatError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        return _COMMANDS[args.command](args)
+    except (
+        UsageError, csp_core.InstanceFormatError, ValueError, KeyError, OSError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .csp_core import Relation
 from .cyclotomic import ONE, ZERO, CycNum, UniPoly, embed, poly_ext_gcd
 
@@ -143,6 +145,27 @@ def default_vars(r: int) -> tuple:
     return tuple(f"x{i}" for i in range(r))
 
 
+def circle_idft(table, n: int, r: int, order: int) -> np.ndarray:
+    """Unnormalized inverse DFT on (Z_n)^r over Z[x]/(x^order - 1), n | order.
+
+    `table` maps points a to integer vectors read as sum_i c_i zeta_order^i
+    (zero-padded; absent points are zero).  Returns the exact array `hat` of
+    shape (n,)*r + (order,) with hat[b] = sum_a table[a] zeta_n^(-a.b), one
+    axis at a time; a power of zeta_order is a cyclic shift of a vector.
+    """
+    step = order // n
+    hat = np.zeros((n,) * r + (order,), dtype=object)  # Python ints: exact
+    for a, vec in table.items():
+        hat[a][: len(vec)] = vec
+    for axis in range(r):
+        src = np.moveaxis(hat, axis, 0)
+        out = np.zeros_like(src)
+        for b, x in product(range(n), repeat=2):
+            out[b] += np.roll(src[x], -x * b * step % order, axis=-1)
+        hat = np.moveaxis(out, 0, axis)
+    return hat
+
+
 def relation_polynomial(rel: Relation, variables=None) -> MultiPoly:
     """The unique per-variable-degree-<d polynomial taking lambda_0 on the
     relation's tuples and lambda_1 off them.
@@ -156,15 +179,10 @@ def relation_polynomial(rel: Relation, variables=None) -> MultiPoly:
         raise ValueError("variable list must match relation arity")
     lam1 = embed(1, d)
     scale = CycNum.from_rational(Fraction(1, d ** r)) * (ONE - lam1)
-    tuples = sorted(rel.tuples)
+    counts = circle_idft({t: [1] for t in rel.tuples}, d, r, d)
     terms: dict[tuple, CycNum] = {}
     for b in product(range(d), repeat=r):
-        counts = [0] * d
-        for a in tuples:
-            dot = sum(x * y for x, y in zip(a, b)) % d
-            counts[-dot % d] += 1
-        acc = CycNum(d, counts)
-        coeff = scale * acc
+        coeff = scale * CycNum(d, counts[b].tolist())
         if b == (0,) * r:
             coeff = coeff + lam1
         if not coeff.is_zero():

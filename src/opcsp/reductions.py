@@ -8,7 +8,9 @@ transports that carry operator assignments across the last two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .csp_core import (
     EQUALITY,
@@ -20,6 +22,7 @@ from .csp_core import (
     make_instance,
 )
 from .cyclotomic import CycNum, UniPoly, embed
+from .fourier import circle_idft
 from .operators import OperatorAssignment, apply_unipoly_matrix
 
 PP_GUARD = 10 ** 8
@@ -71,6 +74,20 @@ class PPFormula:
         )
 
 
+def _pp_witness(formula: PPFormula, language: Language, point: tuple):
+    """Lexicographically first assignment of the existential variables that
+    satisfies every atom together with the output values `point`, or None."""
+
+    def holds(atom, values) -> bool:
+        sub = tuple(values[i] for i in atom.vars)
+        return sub[0] == sub[1] if atom.rel == EQUALITY else sub in language[atom.rel]
+
+    for cand in product(range(language.d), repeat=formula.exist):
+        if all(holds(atom, point + cand) for atom in formula.atoms):
+            return cand
+    return None
+
+
 def pp_evaluate(formula: PPFormula, language: Language) -> Relation:
     """Models of the formula over the language's domain, by brute force."""
     d = language.d
@@ -86,23 +103,11 @@ def pp_evaluate(formula: PPFormula, language: Language) -> Relation:
         elif len(atom.vars) != 2:
             raise ValueError("equality atoms are binary")
 
-    def holds(values) -> bool:
-        for atom in formula.atoms:
-            point = tuple(values[i] for i in atom.vars)
-            if atom.rel == EQUALITY:
-                if point[0] != point[1]:
-                    return False
-            elif point not in language[atom.rel]:
-                return False
-        return True
-
-    tuples = set()
-    for outer in product(range(d), repeat=r):
-        for inner in product(range(d), repeat=s):
-            if holds(outer + inner):
-                tuples.add(outer)
-                break
-    return Relation(r, d, frozenset(tuples))
+    tuples = frozenset(
+        outer for outer in product(range(d), repeat=r)
+        if _pp_witness(formula, language, outer) is not None
+    )
+    return Relation(r, d, tuples)
 
 
 def _gadget_blocks(inst: Instance, formula: PPFormula, target: str) -> dict:
@@ -246,23 +251,13 @@ class UnaryMap:
         return cls(d, d, tuple(range(d)))
 
 
-def lagrange_unipoly(nodes, values) -> UniPoly:
-    """Unique interpolant of degree < len(nodes) through (nodes[i], values[i]),
-    with exact cyclotomic coefficients."""
-    if len(nodes) != len(values):
-        raise ValueError("need one value per node")
-    total = UniPoly()
-    x = UniPoly.x()
-    for k, (node, value) in enumerate(zip(nodes, values)):
-        basis = UniPoly.constant(1)
-        denom = CycNum.one()
-        for j, other in enumerate(nodes):
-            if j == k:
-                continue
-            basis = basis * (x - UniPoly.constant(other))
-            denom = denom * (node - other)
-        total = total + basis * (CycNum._coerce(value) / denom)
-    return total
+def _root_interpolant(powers: dict, n: int, d: int) -> UniPoly:
+    """Degree < n polynomial taking zeta_d^powers[k] at zeta_n^k, and 0 at
+    the nodes absent from `powers`: one inverse DFT over zeta_lcm(n, d)."""
+    order = lcm(n, d)
+    units = {(k,): [0] * (j * order // d) + [1] for k, j in powers.items()}
+    hat = circle_idft(units, n, 1, order)
+    return UniPoly([CycNum(order, hat[j].tolist()) * Fraction(1, n) for j in range(n)])
 
 
 def interpolate_map(pi: UnaryMap) -> UniPoly:
@@ -270,21 +265,17 @@ def interpolate_map(pi: UnaryMap) -> UniPoly:
     root of unity prescribed by an injective map into a d-element domain."""
     if not pi.is_injective():
         raise ValueError("operator transport requires an injective map")
-    e, d = pi.d_from, pi.d_to
-    nodes = [embed(k, e) for k in range(e)]
-    values = [embed(pi(k), d) for k in range(e)]
-    p = lagrange_unipoly(nodes, values)
-    for node, value in zip(nodes, values):
-        if p.eval(node) != value:
+    p = _root_interpolant(dict(enumerate(pi.table)), pi.d_from, pi.d_to)
+    for k in range(pi.d_from):
+        if p.eval(embed(k, pi.d_from)) != embed(pi(k), pi.d_to):
             raise AssertionError("interpolation failed to reproduce a node")
     return p
 
 
 def indicator_interpolant(members, d: int) -> UniPoly:
     """Interpolant over all of U_d taking 1 on the members and 0 elsewhere."""
-    nodes = [embed(k, d) for k in range(d)]
-    values = [CycNum.one() if k in set(members) else CycNum.zero() for k in range(d)]
-    return lagrange_unipoly(nodes, values)
+    members = set(members)
+    return _root_interpolant({k: 0 for k in range(d) if k in members}, d, d)
 
 
 def transport_assignment(p: UniPoly, assignment: OperatorAssignment) -> OperatorAssignment:
@@ -360,14 +351,8 @@ def core_instance(inst: Instance):
         [(c.scope, c.rel) for c in inst.constraints],
         dict(core_lang.relations),
     )
-    nodes = [embed(k, inst.d) for k in range(inst.d)]
-    values = [embed(relabel(k), core_lang.d) for k in range(inst.d)]
-    poly = lagrange_unipoly(nodes, values)
-
-    def transport(assignment: OperatorAssignment) -> OperatorAssignment:
-        return transport_assignment(poly, assignment)
-
-    return mapped, transport
+    poly = _root_interpolant(dict(enumerate(relabel.table)), inst.d, core_lang.d)
+    return mapped, lambda assignment: transport_assignment(poly, assignment)
 
 
 def endomorphism_relation(language: Language) -> Relation:
@@ -451,11 +436,7 @@ def restrict_transport(inst: Instance, pi: UnaryMap):
         pi.d_to, inst.variables, [(c.scope, c.rel) for c in inst.constraints], rels
     )
     poly = interpolate_map(pi)
-
-    def transport(assignment: OperatorAssignment) -> OperatorAssignment:
-        return transport_assignment(poly, assignment)
-
-    return mapped, transport
+    return mapped, lambda assignment: transport_assignment(poly, assignment)
 
 
 @dataclass(frozen=True)
@@ -518,11 +499,7 @@ def factor_transport(inst: Instance, theta: Congruence):
         theta.d, inst.variables, [(c.scope, c.rel) for c in inst.constraints], rels
     )
     poly = interpolate_map(theta.section())
-
-    def transport(assignment: OperatorAssignment) -> OperatorAssignment:
-        return transport_assignment(poly, assignment)
-
-    return mapped, transport
+    return mapped, lambda assignment: transport_assignment(poly, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -555,23 +532,14 @@ def lift_assignment(
     witnesses_cache: dict[tuple, tuple] = {}
 
     def witness_for(point: tuple) -> tuple:
-        if point in witnesses_cache:
-            return witnesses_cache[point]
-        for cand in product(range(d), repeat=formula.exist):
-            values = point + cand
-            ok = True
-            for atom in formula.atoms:
-                sub = tuple(values[i] for i in atom.vars)
-                if atom.rel == EQUALITY:
-                    ok = sub[0] == sub[1]
-                else:
-                    ok = sub in base_lang[atom.rel]
-                if not ok:
-                    break
-            if ok:
-                witnesses_cache[point] = cand
-                return cand
-        raise ValueError(f"tuple {point} admits no witness; formula does not define the target")
+        if point not in witnesses_cache:
+            cand = _pp_witness(formula, base_lang, point)
+            if cand is None:
+                raise ValueError(
+                    f"tuple {point} admits no witness; formula does not define the target"
+                )
+            witnesses_cache[point] = cand
+        return witnesses_cache[point]
 
     blocks = _gadget_blocks(inst, formula, target)
     out = dict(assignment.assign)

@@ -131,6 +131,22 @@ def test_audit_build_and_check(tmp_path):
     assert mismatch.stdout.startswith("REJECT")
 
 
+def test_audit_trace_that_does_not_replay(tmp_path):
+    """A trace whose chain cites the wrong constraint is an input error (exit
+    2 with `error:`), not a traceback or the REJECT code."""
+    path = unsat_two_unary(tmp_path)
+    trace = tmp_path / "trace.json"
+    assert dispatch(["slac", path, "--trace", str(trace)]).exit_code == 1
+    doc = json.loads(trace.read_text())
+    step = doc["chains"][0]["chain"]["steps"][0]
+    step["constraint"] = 1 - step["constraint"]
+    trace.write_text(json.dumps(doc))
+    result = dispatch(["audit", path, "--trace", str(trace)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: self-check failed: REJECT at section:0:step:0")
+    assert result.stdout == ""
+
+
 def test_poly_command(magic_path):
     result = dispatch(["poly", magic_path, "--rel", "Rminus"])
     assert result.exit_code == 0

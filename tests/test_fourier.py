@@ -1,12 +1,13 @@
 """Relation polynomials, domain polynomials, and modular inverse witnesses."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from opcsp.csp_core import Relation, full_relation
-from opcsp.cyclotomic import CycNum, UniPoly, embed
+from opcsp.cyclotomic import ONE, CycNum, UniPoly, embed
 from opcsp.fourier import (
     MultiPoly,
     complement,
@@ -17,6 +18,7 @@ from opcsp.fourier import (
     root_product,
     rule_polynomial,
 )
+from opcsp.gap_instances import zero_sum_relation
 
 
 def poly_matches_relation(rel: Relation) -> bool:
@@ -36,6 +38,20 @@ def test_parity_relation_gives_monomial():
     p = relation_polynomial(rel)
     assert p.terms == {(1, 1, 1): CycNum.one()} or p == MultiPoly(2, p.vars, {(1, 1, 1): 1})
     assert poly_matches_relation(rel)
+
+
+def test_zero_sum_relation_spectrum_is_the_diagonal():
+    """The 7-ary Z_5 zero-sum relation (15,625 tuples): the Fourier sum over
+    a subgroup vanishes off its annihilator, the five vectors (j,...,j), and
+    is |R| = 5^6 on it, so each coefficient is (1 - lambda_1)/5, plus
+    lambda_1 at the origin."""
+    p = relation_polynomial(zero_sum_relation(5))
+    lam1 = embed(1, 5)
+    fifth = CycNum.from_rational(Fraction(1, 5)) * (ONE - lam1)
+    expected = {(j,) * 7: fifth + lam1 if j == 0 else fifth for j in range(5)}
+    assert set(p.terms) == set(expected)
+    for b, coeff in expected.items():
+        assert p.terms[b] == coeff and p.terms[b].order == 5
 
 
 def test_full_relation_is_constant_one():

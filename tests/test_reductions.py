@@ -27,6 +27,7 @@ from opcsp.operators import (
     random_unitary,
     verify_assignment,
 )
+from opcsp import reductions
 from opcsp.reductions import (
     Congruence,
     PPAtom,
@@ -36,6 +37,7 @@ from opcsp.reductions import (
     collapse_equalities,
     constants_reduction,
     core,
+    core_instance,
     endomorphism_relation,
     endomorphisms,
     factor_transport,
@@ -332,6 +334,32 @@ def test_indicator_interpolant_values():
         for k in range(d):
             expect = CycNum.one() if k in members else CycNum.zero()
             assert rho.eval(embed(k, d)) == expect
+
+
+def test_core_interpolant_takes_the_relabeled_root_at_every_node(monkeypatch):
+    """core_instance transports operators through the interpolant of its
+    relabeling, which need not be injective; the interpolant must send each
+    node embed(k, d) exactly to embed(relabel(k), e)."""
+    applied = []
+    monkeypatch.setattr(reductions, "transport_assignment", lambda p, a: applied.append(p) or a)
+    rng = random.Random(41)
+    non_injective = 0
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        rels = {}
+        for i in range(rng.randint(1, 2)):
+            arity = rng.randint(1, 2)
+            points = list(product(range(d), repeat=arity))
+            rels[f"r{i}"] = Relation(arity, d, frozenset(rng.sample(points, rng.randint(1, len(points)))))
+        constraints = [(("u", "v")[: rel.arity], name) for name, rel in rels.items()]
+        _, transport = core_instance(make_instance(d, ["u", "v"], constraints, rels))
+        transport(OperatorAssignment(1, {}))
+        p = applied.pop()
+        _, core_lang, relabel = core(Language(d, rels))
+        for k in range(d):
+            assert p.eval(embed(k, d)) == embed(relabel(k), core_lang.d)
+        non_injective += not relabel.is_injective()
+    assert non_injective >= 10
 
 
 def test_restrict_transport_identity():

@@ -1,31 +1,59 @@
-"""Print one line per refutation-chain output, for comparing two commits.
+"""Print one line per refutation-chain and inverse-DFT output, for comparing
+two commits.
 
-Covers `slac_result_to_json` and `GapCertificate.to_json` (as SHA-256 digests)
-on the bounded-width corpora, the magic square and small Z_3/Z_5 systems, and
-the `CheckResult.describe()` text of every `check_certificate` call made while
+Covers, as SHA-256 digests:
+
+- `slac_result_to_json` and `GapCertificate.to_json` on the bounded-width
+  corpora, the magic square and small Z_3/Z_5 systems;
+- `relation_polynomial(rel).format_terms()`, and each coefficient's `order`
+  and `coeffs`, for every relation of `linear_language(2)`,
+  `linear_language(3)` and the magic square and for seeded relations with
+  d <= 6 and arity <= 3;
+- `UniPoly.to_obj()` of `indicator_interpolant(S, d)` for every S with d <= 6;
+- the interpolants that `restrict_transport`, `factor_transport` and
+  `core_instance` apply on the magic square and instances derived from it,
+  the mapped instance documents, and the JSON of the Pauli assignment carried
+  through each transport.
+
+Then it prints the `CheckResult.describe()` text of every `check_certificate`
+call made while
 `tests/test_acceptance.py::test_criterion_2_refutations_and_certificates` and
 `tests/test_certificates.py` run.  It uses only API that the refactors of the
-chain path keep, so the same script runs on both sides of such a change:
+chain path and of the DFT path keep, so the same script runs on both sides of
+such a change:
 
     cd <checkout> && PYTHONPATH=src:tests python tools/chain_outputs.py > out.txt
     diff <old checkout>/out.txt <new checkout>/out.txt
 
-Takes about a minute.
+Takes about twenty seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 import sys
 from contextlib import redirect_stdout
+from itertools import product
 
 import pytest
 
 import opcsp
-from opcsp import certificates
+from opcsp import certificates, reductions
 from opcsp.certificates import build_certificate
 from opcsp.consistency import slac, slac_result_to_json
-from opcsp.gap_instances import linear_system_instance, magic_square, parse_linear_system
+from opcsp.csp_core import Relation, serialize_instance
+from opcsp.fourier import relation_polynomial
+from opcsp.gap_instances import (
+    linear_language,
+    linear_system_instance,
+    magic_square,
+    parse_linear_system,
+    pauli_fixture,
+)
+from opcsp.operators import OperatorAssignment, operator_assignment_to_json
+from opcsp.reductions import Congruence, UnaryMap, indicator_interpolant
 
 from helpers import bounded_width_corpus
 
@@ -56,6 +84,81 @@ def emit_outputs():
         print(f"{label} slac={digest(slac_result_to_json(result))} cert={cert}")
 
 
+def dft_relations():
+    for p in (2, 3):
+        lang = linear_language(p)
+        for name in sorted(lang.relations):
+            yield f"linear{p}/{name}", lang[name]
+    magic = magic_square().language
+    for name in sorted(magic.relations):
+        yield f"magic/{name}", magic[name]
+    rng = random.Random(2024)
+    for i in range(120):
+        d, r = rng.randint(1, 6), rng.randint(1, 3)
+        density = rng.choice((0.0, 0.2, 0.5, 0.9, 1.0))
+        tuples = frozenset(t for t in product(range(d), repeat=r) if rng.random() < density)
+        yield f"random#{i} d={d} r={r}", Relation(r, d, tuples)
+
+
+def transported(make, inst, assignment):
+    """Run one reduction and its transport, recording the interpolants that
+    the transport applies."""
+    mapped, transport = make(inst)
+    polys = []
+    original = reductions.transport_assignment
+
+    def record(p, a):
+        polys.append(p)
+        return original(p, a)
+
+    reductions.transport_assignment = record
+    try:
+        carried = transport(assignment)
+    finally:
+        reductions.transport_assignment = original
+    return mapped, polys, carried
+
+
+def emit_dft_outputs():
+    for label, rel in dft_relations():
+        poly = relation_polynomial(rel)
+        terms = [[list(e), c.to_obj()] for e, c in poly.sorted_terms()]
+        print(f"{label} poly={digest(poly.format_terms())} terms={digest(json.dumps(terms))}")
+    for d in range(1, 7):
+        for mask in range(2 ** d):
+            members = [k for k in range(d) if mask >> k & 1]
+            obj = indicator_interpolant(members, d).to_obj()
+            print(f"indicator d={d} S={members} {digest(json.dumps(obj))}")
+    magic = magic_square()
+    pauli = OperatorAssignment(4, pauli_fixture())
+    cases = [("core", reductions.core_instance)]
+    for image, d_to in (((0, 1), 2), ((1, 0), 2), ((2, 0), 3), ((1, 3), 5), ((0, 4), 6)):
+        cases.append((
+            f"restrict{image}->{d_to}",
+            lambda inst, pi=UnaryMap(2, d_to, image): reductions.restrict_transport(inst, pi),
+        ))
+    for classes in (({0, 2}, {1, 3}), ({0}, {1, 2}), ({0, 3}, {1, 2, 4}), ({1, 5}, {0, 2, 3, 4})):
+        theta = Congruence(sum(map(len, classes)), classes)
+        cases.append((
+            f"factor{[sorted(c) for c in classes]}",
+            lambda inst, theta=theta: reductions.factor_transport(inst, theta),
+        ))
+    for label, make in list(cases):
+        mapped, polys, carried = transported(make, magic, pauli)
+        print(
+            f"magic {label} inst={digest(serialize_instance(mapped))} "
+            f"poly={[digest(json.dumps(p.to_obj())) for p in polys]} "
+            f"ops={digest(operator_assignment_to_json(carried))}"
+        )
+        if label != "core":
+            # the core of a relabeled or pulled-back square relabels non-injectively
+            _, polys, carried = transported(reductions.core_instance, mapped, carried)
+            print(
+                f"magic {label} core poly={[digest(json.dumps(p.to_obj())) for p in polys]} "
+                f"ops={digest(operator_assignment_to_json(carried))}"
+            )
+
+
 class RecordChecks:
     """Wraps check_certificate at its module attributes before the test
     modules import it, and records every verdict."""
@@ -77,6 +180,7 @@ class RecordChecks:
 
 def main() -> int:
     emit_outputs()
+    emit_dft_outputs()
     recorder = RecordChecks()
     with redirect_stdout(sys.stderr):  # keep pytest's report, with its timings, off stdout
         code = pytest.main(
