@@ -52,9 +52,17 @@ class GapCertificate:
         return json.dumps(self.to_obj(), sort_keys=True, indent=1)
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "GapCertificate":
+    def from_obj(cls, obj: dict, d: int | None = None) -> "GapCertificate":
+        """Decode a certificate to be checked against an instance with domain
+        size d (by default the certificate's own d).  Raises ValueError, before
+        any field arithmetic, when a witness coefficient's order is not a
+        positive divisor of d."""
         if obj.get("format") != FORMAT:
             raise ValueError(f"unsupported certificate format {obj.get('format')!r}")
+        d = int(obj["d"]) if d is None else d
+        for order in _witness_orders(obj):
+            if type(order) is not int or order < 1 or d < 1 or d % order:
+                raise ValueError(f"witness coefficient order {order!r} does not divide d = {d}")
         return cls(
             str(obj["digest"]),
             int(obj["d"]),
@@ -67,8 +75,17 @@ class GapCertificate:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "GapCertificate":
-        return cls.from_obj(json.loads(text))
+    def from_json(cls, text: str, d: int | None = None) -> "GapCertificate":
+        return cls.from_obj(json.loads(text), d)
+
+
+def _witness_orders(obj: dict):
+    """The `order` of every wire coefficient of the Bezout witnesses."""
+    for sec in obj["sections"]:
+        for st in sec["steps"]:
+            if "q" in st:
+                yield from (c["order"] for c in st["q"]["coeffs"])
+                yield st["c"]["order"]
 
 
 @lru_cache(maxsize=None)

@@ -159,7 +159,7 @@ def _cmd_verify_ops(args) -> int:
 def _cmd_audit(args) -> int:
     inst = _load_instance(args.instance)
     if args.check:
-        cert = certificates.GapCertificate.from_json(_read(args.check))
+        cert = certificates.GapCertificate.from_json(_read(args.check), inst.d)
         verdict = certificates.check_certificate(inst, cert)
         print(verdict.describe())
         return 0 if verdict.accepted else 1

@@ -270,16 +270,3 @@ def brute_force_solve(inst: Instance) -> dict | None:
         return {v: values[index[v]] for v in inst.variables}
     return None
 
-
-def iter_solutions(inst: Instance, limit: int | None = None):
-    """All satisfying assignments in lexicographic order (test oracle helper)."""
-    if search_space_size(inst) > BRUTE_FORCE_GUARD:
-        raise ValueError("search space exceeds the brute-force guard")
-    count = 0
-    for combo in product(range(inst.d), repeat=len(inst.variables)):
-        s = dict(zip(inst.variables, combo))
-        if validate_assignment(inst, s):
-            yield s
-            count += 1
-            if limit is not None and count >= limit:
-                return

@@ -1,11 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_L), plus univariate polynomials over them.
 
-A CycNum is an element of Q(zeta_L) stored as a rational coefficient vector
-modulo the L-th cyclotomic polynomial Phi_L.  Working modulo Phi_L (rather
-than x^L - 1) keeps the carrier a field, so equality of values is equality of
-canonical coefficient vectors after lifting both operands into the compound
-field Q(zeta_lcm).  All coefficients are arbitrary-precision Fractions; this
-module never touches floating point.
+A CycNum is an element of Q(zeta_L) stored as num/den: `num` is an integer
+coefficient vector of length phi(L) modulo the L-th cyclotomic polynomial
+Phi_L, and `den` is one positive integer with gcd(den, *num) == 1.  Working
+modulo Phi_L (rather than x^L - 1) keeps the carrier a field, and the lowest
+terms make the pair canonical: equal values at one order have equal fields,
+so equality is field equality after lifting both operands into Q(zeta_lcm).
+`coeffs` is the same vector as Fractions, and the wire format
+(`{"order": L, "coeffs": [[num, den], ...]}`) is written from it, unchanged.
+This module never touches floating point except in `to_complex`.
 """
 
 from __future__ import annotations
@@ -13,36 +16,26 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-_F0 = Fraction(0)
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (dense lists, lowest degree first).
 
-def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den is monic; exact division over Z.
-    num = list(num)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        lead = num[-1]
-        q[shift] = lead
-        for i, c in enumerate(den):
-            num[shift + i] -= lead * c
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
+def _int_poly_divmod(num: list[int], den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic integer sequence den,
+    exactly over Z; the remainder has min(len(num), deg den) entries."""
+    rem = list(num)
+    n = len(den) - 1
+    q = [0] * max(len(rem) - n, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        lead = rem[shift + n]
+        if lead:
+            q[shift] = lead
+            for i in range(n):
+                if den[i]:
+                    rem[shift + i] -= lead * den[i]
+    return q, rem[:n]
 
 
 def _divisors(n: int) -> list[int]:
@@ -72,7 +65,7 @@ def cyclotomic_int_coeffs(L: int) -> tuple[int, ...]:
                     new[i + j] += a * b
         den = new
     q, r = _int_poly_divmod(num, den)
-    if r:
+    if any(r):
         raise AssertionError("cyclotomic division left a remainder")
     return tuple(q)
 
@@ -82,100 +75,50 @@ def phi_degree(L: int) -> int:
     return len(cyclotomic_int_coeffs(L)) - 1
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], L: int) -> tuple[Fraction, ...]:
-    """Reduce a zeta_L coefficient vector modulo Phi_L; pad to length phi(L)."""
-    mod = cyclotomic_int_coeffs(L)
-    deg = len(mod) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            coeffs[i] = Fraction(0)
-            for j in range(deg):
-                coeffs[i - deg + j] -= c * mod[j]
-    out = coeffs[:deg]
-    out += [Fraction(0)] * (deg - len(out))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Rational-coefficient polynomial helpers for base-field inversion.
-
-def _frac_poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        coef = a[-1] * inv_lead
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] -= coef * c
-        _frac_poly_trim(a)
-        if not a:
-            break
-    return q, a
-
-
-def _frac_poly_inverse_mod(p: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of p modulo mod over Q (mod irreducible, p nonzero mod mod)."""
-    r0, r1 = list(mod), _frac_poly_trim(list(p))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = _frac_poly_divmod(r0, r1)
-        s = list(s0)
-        s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    s[i + j] -= qc * sc
-        r0, r1 = r1, _frac_poly_trim(r)
-        s0, s1 = s1, _frac_poly_trim(s)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    inv = 1 / r0[0]
-    return [c * inv for c in s0]
-
-
 # ---------------------------------------------------------------------------
 
 
 class CycNum:
-    """An element of the cyclotomic field Q(zeta_L)."""
+    """An element of the cyclotomic field Q(zeta_L), as num/den."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
-        if order < 1:
-            raise ValueError("order must be a positive integer")
-        deg = phi_degree(order)
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > deg:
-            vec = list(_reduce_mod_phi(vec, order))
-        vec += [Fraction(0)] * (deg - len(vec))
+        vals = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in vals))
+        self._set(order, [c.numerator * (den // c.denominator) for c in vals], den)
+
+    def _set(self, order: int, num: list[int], den: int) -> "CycNum":
+        # reduce num modulo Phi_order and bring num/den to lowest terms
+        phi = cyclotomic_int_coeffs(order)
+        deg = len(phi) - 1
+        if len(num) > deg:
+            num = _int_poly_divmod(num, phi)[1]
+        else:
+            num = num + [0] * (deg - len(num))
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
         self.order = order
-        self.coeffs = tuple(vec)
+        self.num = tuple(num)
+        self.den = den
+        return self
 
     @classmethod
-    def _raw(cls, order: int, coeffs: tuple) -> "CycNum":
-        # trusted constructor: coeffs is already a reduced tuple of Fractions
-        self = object.__new__(cls)
-        self.order = order
-        self.coeffs = coeffs
-        return self
+    def _of(cls, order: int, num: list[int], den: int) -> "CycNum":
+        return object.__new__(cls)._set(order, num, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficient vector modulo Phi_order, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycNum":
-        vec = [Fraction(value)] + [Fraction(0)] * (phi_degree(order) - 1)
-        return cls(order, vec)
+        return cls(order, [value])
 
     @classmethod
     def zero(cls) -> "CycNum":
@@ -190,12 +133,19 @@ class CycNum:
         """The value e^(2*pi*i*k/d), i.e. zeta_d^k."""
         if d < 1:
             raise ValueError("d must be a positive integer")
-        k %= d
-        vec = [Fraction(0)] * (k + 1)
-        vec[k] = Fraction(1)
-        return cls(d, vec)
+        return cls(d, [0] * (k % d) + [1])
 
-    # -- lifting ------------------------------------------------------
+    # -- Galois index maps ----------------------------------------------
+
+    def _substitute(self, k: int, order: int) -> "CycNum":
+        """zeta_self.order^i |-> zeta_order^(i*k): a lift when
+        k = order / self.order, a Galois automorphism when order = self.order
+        and k is a unit mod order."""
+        vec = [0] * order
+        for i, c in enumerate(self.num):
+            if c:
+                vec[i * k % order] += c
+        return CycNum._of(order, vec, self.den)
 
     def lift(self, order: int) -> "CycNum":
         """Re-express this value inside Q(zeta_order); self.order must divide order."""
@@ -203,14 +153,27 @@ class CycNum:
             return self
         if order % self.order != 0:
             raise ValueError("can only lift to a multiple of the current order")
-        step = order // self.order
-        vec = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            vec[i * step] = c
-        return CycNum(order, vec)
+        return self._substitute(order // self.order, order)
+
+    def conjugate(self) -> "CycNum":
+        """Complex conjugation, zeta |-> zeta^(L-1)."""
+        return self._substitute(self.order - 1, self.order)
+
+    def inverse(self) -> "CycNum":
+        """1/self as the product of the other Galois conjugates over the
+        rational norm, at self.order."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero in Q(zeta)")
+        L = self.order
+        others = CycNum.from_rational(1, L)
+        for k in range(2, L):
+            if gcd(k, L) == 1:
+                others = others * self._substitute(k, L)
+        norm = self * others
+        return others * Fraction(norm.den, norm.num[0])
 
     def _pair(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
-        L = _lcm(self.order, other.order)
+        L = lcm(self.order, other.order)
         return self.lift(L), other.lift(L)
 
     @staticmethod
@@ -229,12 +192,14 @@ class CycNum:
         except TypeError:
             return NotImplemented
         a, b = self._pair(other)
-        return CycNum._raw(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return CycNum._of(a.order, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycNum":
-        return CycNum._raw(self.order, tuple(-c for c in self.coeffs))
+        return CycNum._of(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "CycNum":
         try:
@@ -251,29 +216,21 @@ class CycNum:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if other.order == 1:
-            s = other.coeffs[0]
-            return CycNum._raw(self.order, tuple(c * s for c in self.coeffs))
         if self.order == 1:
-            s = self.coeffs[0]
-            return CycNum._raw(other.order, tuple(c * s for c in other.coeffs))
+            self, other = other, self
+        if other.order == 1:
+            s = other.num[0]
+            return CycNum._of(self.order, [c * s for c in self.num], self.den * other.den)
         a, b = self._pair(other)
-        out = [_F0] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        out = [0] * (len(a.num) + len(b.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b.num):
                     if y:
                         out[i + j] += x * y
-        return CycNum._raw(a.order, _reduce_mod_phi(out, a.order))
+        return CycNum._of(a.order, out, a.den * b.den)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "CycNum":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(zeta)")
-        mod = [Fraction(c) for c in cyclotomic_int_coeffs(self.order)]
-        inv = _frac_poly_inverse_mod(list(self.coeffs), mod)
-        return CycNum(self.order, inv)
 
     def __truediv__(self, other) -> "CycNum":
         return self * self._coerce(other).inverse()
@@ -293,33 +250,25 @@ class CycNum:
             exponent >>= 1
         return result
 
-    def conjugate(self) -> "CycNum":
-        """Complex conjugation, zeta |-> zeta^(L-1)."""
-        L = self.order
-        vec = [Fraction(0)] * L
-        for i, c in enumerate(self.coeffs):
-            vec[(L - i) % L] += c
-        return CycNum(L, vec)
-
     # -- predicates / conversions --------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def to_complex(self) -> complex:
         L = self.order
         total = 0j
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.num):
             if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * i / L)
+                total += c / self.den * cmath.exp(2j * cmath.pi * i / L)
         return total
 
     def __eq__(self, other) -> bool:
@@ -328,7 +277,7 @@ class CycNum:
         except TypeError:
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # equality spans orders; these are not dict keys
 

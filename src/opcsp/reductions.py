@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
+import numpy as np
+
 from .csp_core import (
     EQUALITY,
     Instance,
@@ -23,7 +25,12 @@ from .csp_core import (
 )
 from .cyclotomic import CycNum, UniPoly, embed
 from .fourier import circle_idft
-from .operators import OperatorAssignment, apply_unipoly_matrix
+from .operators import (
+    OperatorAssignment,
+    apply_unipoly_matrix,
+    root_value,
+    simultaneous_diagonalize,
+)
 
 PP_GUARD = 10 ** 8
 ENDO_GUARD = 8
@@ -410,12 +417,10 @@ def constants_reduction(inst: Instance) -> Instance:
 def extend_with_anchor_scalars(assignment: OperatorAssignment, reduced: Instance) -> OperatorAssignment:
     """Operator transport for the constants reduction: anchor variables take
     the scalar operators lambda_a I."""
-    import numpy as np
-
     anchor_scope = next(c.scope for c in reduced.constraints if c.rel == "endotable")
     out = dict(assignment.assign)
     for a, name in enumerate(anchor_scope):
-        out[name] = complex(np.exp(2j * np.pi * a / reduced.d)) * np.eye(assignment.dim)
+        out[name] = root_value(a, reduced.d) * np.eye(assignment.dim)
     return OperatorAssignment(assignment.dim, out)
 
 
@@ -522,10 +527,6 @@ def lift_assignment(
     lexicographically smallest witness tuple slot by slot, and conjugates the
     diagonal witnesses back.  Purely finite-dimensional.
     """
-    import numpy as np
-
-    from .operators import simultaneous_diagonalize
-
     base_lang = inst.language.without(target)
     rel = inst.language[target]
     d = inst.d
@@ -555,7 +556,7 @@ def lift_assignment(
             for D in diags:
                 val = D[j, j]
                 k = int(round((np.angle(val) * d / (2 * np.pi))) % d)
-                if abs(val - np.exp(2j * np.pi * k / d)) > 1e-6:
+                if abs(val - root_value(k, d)) > 1e-6:
                     raise ValueError("operator spectrum strays from the roots of unity")
                 entries.append(k)
             point = tuple(entries)
@@ -565,7 +566,7 @@ def lift_assignment(
                 )
             slots.append(witness_for(point))
         for k, name in enumerate(blocks[ci]):
-            diag = np.diag([np.exp(2j * np.pi * slots[j][k] / d) for j in range(assignment.dim)])
+            diag = np.diag([root_value(slots[j][k], d) for j in range(assignment.dim)])
             out[name] = basis @ diag @ U
     return OperatorAssignment(assignment.dim, out)
 

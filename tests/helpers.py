@@ -2,9 +2,17 @@
 test suites."""
 
 import random
+from itertools import product
 
 from opcsp.consistency import full_domains
-from opcsp.csp_core import Instance, Language, make_instance
+from opcsp.csp_core import (
+    BRUTE_FORCE_GUARD,
+    Instance,
+    Language,
+    make_instance,
+    search_space_size,
+    validate_assignment,
+)
 from opcsp.gap_instances import horn_language, shift_language, two_clause_language
 
 
@@ -51,6 +59,20 @@ def bounded_width_corpus(seed: int, count: int, max_vars: int = 10):
         ncons = rng.randint(nvars, 2 * nvars)
         out.append(random_language_instance(rng, lang, nvars, ncons))
     return out
+
+
+def iter_solutions(inst: Instance, limit: int | None = None):
+    """All satisfying assignments in lexicographic order (test oracle helper)."""
+    if search_space_size(inst) > BRUTE_FORCE_GUARD:
+        raise ValueError("search space exceeds the brute-force guard")
+    count = 0
+    for combo in product(range(inst.d), repeat=len(inst.variables)):
+        s = dict(zip(inst.variables, combo))
+        if validate_assignment(inst, s):
+            yield s
+            count += 1
+            if limit is not None and count >= limit:
+                return
 
 
 def full_ac(inst: Instance, domains: dict | None = None) -> tuple[bool, dict]:

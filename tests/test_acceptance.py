@@ -16,7 +16,6 @@ from opcsp.consistency import slac
 from opcsp.csp_core import (
     Relation,
     brute_force_solve,
-    iter_solutions,
     make_instance,
     search_space_size,
 )
@@ -57,7 +56,7 @@ from opcsp.reductions import (
     restrict_transport,
 )
 
-from helpers import bounded_width_corpus
+from helpers import bounded_width_corpus, iter_solutions
 
 
 def report(n: int, label: str, elapsed: float, bound: float):

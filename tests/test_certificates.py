@@ -13,13 +13,13 @@ from opcsp.certificates import (
     certify,
 )
 from opcsp.consistency import ChainStep, RefutationChain, slac
-from opcsp.csp_core import brute_force_solve, iter_solutions, make_instance
+from opcsp.csp_core import brute_force_solve, make_instance
 from opcsp.cyclotomic import CycNum, UniPoly
 from opcsp.fourier import dom_polynomial
 from opcsp.gap_instances import magic_square
 from opcsp.operators import apply_unipoly_matrix, fro
 
-from helpers import bounded_width_corpus
+from helpers import bounded_width_corpus, iter_solutions
 
 
 def minimal_conflict_instance():
@@ -77,7 +77,7 @@ def test_certificate_json_round_trip():
     inst = minimal_conflict_instance()
     cert, verdict = certify(inst)
     assert verdict.accepted
-    again = GapCertificate.from_json(cert.to_json())
+    again = GapCertificate.from_json(cert.to_json(), cert.d)
     assert again.to_json() == cert.to_json()
     assert check_certificate(inst, again).accepted
 

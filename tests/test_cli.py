@@ -131,6 +131,27 @@ def test_audit_build_and_check(tmp_path):
     assert mismatch.stdout.startswith("REJECT")
 
 
+def test_audit_check_rejects_witness_order_not_dividing_d(tmp_path):
+    """A witness coefficient whose order does not divide d is an input error
+    (exit 2 with `error:`), found before any field arithmetic."""
+    shift = [(k, (k + 1) % 3) for k in range(3)]
+    inst = make_instance(
+        3, ["x", "y"], [(("x", "y"), "shift1"), (("y", "x"), "shift1")], {"shift1": shift}
+    )
+    path = tmp_path / "cycle.inst"
+    path.write_text(serialize_instance(inst))
+    cert_path = tmp_path / "cycle.cert"
+    assert dispatch(["audit", str(path), "--out", str(cert_path)]).exit_code == 0
+    doc = json.loads(cert_path.read_text())
+    witness = next(st for sec in doc["sections"] for st in sec["steps"] if "q" in st)
+    witness["q"]["coeffs"][0]["order"] = 2310
+    cert_path.write_text(json.dumps(doc))
+    result = dispatch(["audit", str(path), "--check", str(cert_path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: witness coefficient order 2310 does not divide d = 3")
+    assert result.stdout == ""
+
+
 def test_audit_trace_that_does_not_replay(tmp_path):
     """A trace whose chain cites the wrong constraint is an input error (exit
     2 with `error:`), not a traceback or the REJECT code."""

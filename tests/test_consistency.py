@@ -17,7 +17,7 @@ from opcsp.consistency import (
 from opcsp.csp_core import brute_force_solve, make_instance
 from opcsp.gap_instances import linear_system_instance, magic_square, parse_linear_system
 
-from helpers import bounded_width_corpus, full_ac
+from helpers import bounded_width_corpus, full_ac, iter_solutions
 
 
 def implication_chain_instance():
@@ -192,8 +192,6 @@ def test_slac_soundness_never_removes_solution_values():
     corpus += [random_instance(rng, rng.choice([2, 3]), rng.randint(2, 5)) for _ in range(80)]
     for inst in corpus:
         result = slac(inst)
-        from opcsp.csp_core import iter_solutions
-
         for s in iter_solutions(inst, limit=20):
             for v, a in s.items():
                 assert a in result.domains[v], "propagation removed a solution value"

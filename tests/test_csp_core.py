@@ -11,7 +11,6 @@ from opcsp.csp_core import (
     Relation,
     brute_force_solve,
     instance_digest,
-    iter_solutions,
     load_instance,
     make_instance,
     search_space_size,
@@ -19,6 +18,8 @@ from opcsp.csp_core import (
     validate_assignment,
 )
 from opcsp.gap_instances import LinearSystem, linear_system_instance, magic_square
+
+from helpers import iter_solutions
 
 
 def test_magic_square_shape():

@@ -1,6 +1,7 @@
 """Exact cyclotomic field and polynomial algebra checks."""
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from opcsp.cyclotomic import (
     CycNum,
     UniPoly,
+    cyclotomic_int_coeffs,
     cyclotomic_polynomial,
     embed,
     phi_degree,
@@ -200,3 +202,50 @@ def test_serialization_round_trip():
         assert CycNum.from_obj(v.to_obj()) == v
     p = UniPoly([embed(1, 4), CycNum.from_rational(Fraction(-1, 2)), CycNum.one()])
     assert UniPoly.from_obj(p.to_obj()) == p
+
+
+def test_field_against_sympy():
+    """Differential check of Phi_L, sums, products and inverses against
+    sympy's polynomial arithmetic over QQ (an optional test dependency)."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def phi(L):
+        return sympy.Poly(sympy.cyclotomic_poly(L, x), x, domain="QQ")
+
+    def as_poly(v, L):
+        # v lifted to order L: zeta_v.order^i = zeta_L^(i * L / v.order)
+        step = L // v.order
+        dense = [sympy.Integer(0)] * (step * (len(v.coeffs) - 1) + 1)
+        for i, c in enumerate(v.coeffs):
+            dense[i * step] = sympy.Rational(c.numerator, c.denominator)
+        return sympy.Poly(list(reversed(dense)), x, domain="QQ")
+
+    def as_fractions(p, L):
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+        return coeffs + [Fraction(0)] * (phi_degree(L) - len(coeffs))
+
+    for L in range(1, 61):
+        expected = reversed(sympy.Poly(sympy.cyclotomic_poly(L, x), x).all_coeffs())
+        assert cyclotomic_int_coeffs(L) == tuple(int(c) for c in expected), L
+
+    rng = random.Random(60)
+
+    def rand_num(order):
+        size = rng.randint(1, order)  # up to `order` entries, so some need reducing
+        coeffs = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) for _ in range(size)]
+        return CycNum(order, coeffs)
+
+    for i in range(200):
+        la = rng.randint(1, 12)
+        lb = la if i % 4 == 0 else rng.randint(1, 12)
+        a, b = rand_num(la), rand_num(lb)
+        L = a.order * b.order // math.gcd(a.order, b.order)
+        A, B, mod = as_poly(a, L), as_poly(b, L), phi(L)
+        assert list((a + b).lift(L).coeffs) == as_fractions((A + B).rem(mod), L)
+        assert list((a * b).lift(L).coeffs) == as_fractions((A * B).rem(mod), L)
+        if not a.is_zero():
+            inv = a.inverse()
+            assert inv.order == a.order
+            expected = sympy.invert(as_poly(a, la), phi(la))
+            assert list(inv.coeffs) == as_fractions(expected, la)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opcsp.consistency import slac
-from opcsp.csp_core import brute_force_solve, iter_solutions, search_space_size
+from opcsp.csp_core import brute_force_solve, search_space_size
 from opcsp.gap_instances import (
     LinearSystem,
     linear_system_instance,
@@ -18,6 +18,8 @@ from opcsp.gap_instances import (
     zero_sum_relation,
 )
 from opcsp.operators import OperatorAssignment, commutator_norm, fro, verify_assignment
+
+from helpers import iter_solutions
 
 
 def test_magic_square_is_the_first_kind_gap_witness():

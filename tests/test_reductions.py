@@ -15,7 +15,6 @@ from opcsp.csp_core import (
     brute_force_solve,
     equality_relation,
     full_relation,
-    iter_solutions,
     make_instance,
 )
 from opcsp.cyclotomic import CycNum, UniPoly, embed
@@ -49,6 +48,8 @@ from opcsp.reductions import (
     restrict_to,
     restrict_transport,
 )
+
+from helpers import iter_solutions
 
 
 def eq_language(d=2) -> Language:

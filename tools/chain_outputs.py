@@ -1,8 +1,14 @@
-"""Print one line per refutation-chain and inverse-DFT output, for comparing
-two commits.
+"""Print one line per refutation-chain, inverse-DFT and field-arithmetic
+output, for comparing two commits.
 
 Covers, as SHA-256 digests:
 
+- `CycNum.to_obj()` of seeded sums, differences, products, quotients,
+  inverses, conjugates and lifts at orders 1..12, including mixed orders;
+- `UniPoly.to_obj()` of the `poly_ext_gcd` results of seeded polynomial
+  pairs with mixed-order coefficients;
+- the `dom_difference_inverse` and `dom_gap_inverse` witnesses of every
+  proper nonempty subset S of 0..d-1 for d <= 7;
 - `slac_result_to_json` and `GapCertificate.to_json` on the bounded-width
   corpora, the magic square and small Z_3/Z_5 systems;
 - `relation_polynomial(rel).format_terms()`, and each coefficient's `order`
@@ -19,13 +25,13 @@ Then it prints the `CheckResult.describe()` text of every `check_certificate`
 call made while
 `tests/test_acceptance.py::test_criterion_2_refutations_and_certificates` and
 `tests/test_certificates.py` run.  It uses only API that the refactors of the
-chain path and of the DFT path keep, so the same script runs on both sides of
-such a change:
+chain path, of the DFT path and of the field representation keep, so the same
+script runs on both sides of such a change:
 
     cd <checkout> && PYTHONPATH=src:tests python tools/chain_outputs.py > out.txt
     diff <old checkout>/out.txt <new checkout>/out.txt
 
-Takes about twenty seconds.
+Takes about half a minute.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import json
 import random
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -44,7 +51,8 @@ from opcsp import certificates, reductions
 from opcsp.certificates import build_certificate
 from opcsp.consistency import slac, slac_result_to_json
 from opcsp.csp_core import Relation, serialize_instance
-from opcsp.fourier import relation_polynomial
+from opcsp.cyclotomic import CycNum, UniPoly, embed, poly_ext_gcd
+from opcsp.fourier import dom_difference_inverse, dom_gap_inverse, relation_polynomial
 from opcsp.gap_instances import (
     linear_language,
     linear_system_instance,
@@ -159,6 +167,50 @@ def emit_dft_outputs():
             )
 
 
+def random_cycnum(rng: random.Random, order: int) -> CycNum:
+    # up to `order` coefficients, so that some vectors need reducing modulo Phi_order
+    size = rng.randint(1, order)
+    dens = (1, 1, 2, 3, 5, 12)
+    return CycNum(order, [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(size)])
+
+
+def random_unipoly(rng: random.Random) -> UniPoly:
+    coeffs = []
+    for _ in range(rng.randint(1, 6)):
+        order = rng.choice((1, 2, 3, 4, 6))
+        c = CycNum.from_rational(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+        if order > 1 and rng.random() < 0.6:
+            c = c + embed(rng.randrange(order), order)
+        coeffs.append(c)
+    return UniPoly(coeffs)
+
+
+def emit_field_outputs():
+    rng = random.Random(5)
+    for i in range(240):
+        la = rng.randint(1, 12)
+        lb = la if i % 3 == 0 else rng.randint(1, 12)
+        a, b = random_cycnum(rng, la), random_cycnum(rng, lb)
+        values = [a, b, a + b, a - b, a * b, a.conjugate(), a.lift(la * rng.randint(1, 3))]
+        for x in (a, b):
+            if not x.is_zero():
+                values += [x.inverse(), a / x]
+        objs = [v.to_obj() for v in values]
+        print(f"field#{i} orders=({la},{lb}) {digest(json.dumps(objs))}")
+    for i in range(120):
+        p, m = random_unipoly(rng), random_unipoly(rng)
+        if p.is_zero() and m.is_zero():
+            continue
+        objs = [x.to_obj() for x in poly_ext_gcd(p, m)]
+        print(f"ext_gcd#{i} {digest(json.dumps(objs))}")
+    for d in range(2, 8):
+        for mask in range(1, 2 ** d - 1):
+            members = [k for k in range(d) if mask >> k & 1]
+            witnesses = (dom_difference_inverse(members, d), dom_gap_inverse(members, d))
+            objs = [[q.to_obj(), c.to_obj()] for q, c in witnesses]
+            print(f"witness d={d} S={members} {digest(json.dumps(objs))}")
+
+
 class RecordChecks:
     """Wraps check_certificate at its module attributes before the test
     modules import it, and records every verdict."""
@@ -181,6 +233,7 @@ class RecordChecks:
 def main() -> int:
     emit_outputs()
     emit_dft_outputs()
+    emit_field_outputs()
     recorder = RecordChecks()
     with redirect_stdout(sys.stderr):  # keep pytest's report, with its timings, off stdout
         code = pytest.main(
