@@ -80,7 +80,8 @@ def linear_ac(inst: Instance, domains: dict | None = None, pin: tuple | None = N
     lies in the (pin-adjusted) current domains.  Inconsistent as soon as some
     derivation comes out empty.
     """
-    eff = dict(domains) if domains is not None else full_domains(inst)
+    # frozensets, because Relation.projections memoizes by allowed set
+    eff = {v: frozenset(vals) for v, vals in (domains or full_domains(inst)).items()}
     for v in inst.variables:
         eff.setdefault(v, frozenset(range(inst.d)))
     store = FactStore()
@@ -93,16 +94,11 @@ def linear_ac(inst: Instance, domains: dict | None = None, pin: tuple | None = N
         fact, _ = store.add(v, frozenset({a}), (AXIOM, v, a))
         queue.append(fact.id)
 
-    positions: dict[str, list] = {}
-    for ci, c in enumerate(inst.constraints):
-        for pos, var in enumerate(c.scope):
-            positions.setdefault(var, []).append((ci, pos))
-
     head = 0
     while head < len(queue):
         fact = store[queue[head]]
         head += 1
-        for ci, src in positions.get(fact.var, ()):
+        for ci, src in inst.occurrences.get(fact.var, ()):
             c = inst.constraints[ci]
             doms = [eff[v] for v in c.scope]
             doms[src] = doms[src] & fact.values

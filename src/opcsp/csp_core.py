@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
-from operator import contains
+from functools import cached_property, reduce
+from itertools import chain, product
+from operator import or_
 
 
 class InstanceFormatError(ValueError):
@@ -32,28 +34,66 @@ class Relation:
             raise ValueError("relation arity must be positive")
         if self.d < 1:
             raise ValueError("domain size must be positive")
-        object.__setattr__(self, "tuples", frozenset(tuple(t) for t in self.tuples))
-        for t in self.tuples:
-            if len(t) != self.arity:
-                raise ValueError(f"tuple {t} does not match arity {self.arity}")
-            if any(not (0 <= a < self.d) for a in t):
-                raise ValueError(f"tuple {t} has entries outside 0..{self.d - 1}")
+        tuples = frozenset(map(tuple, self.tuples))
+        object.__setattr__(self, "tuples", tuples)
+        if set(map(len, tuples)) - {self.arity}:
+            t = next(t for t in tuples if len(t) != self.arity)
+            raise ValueError(f"arity mismatch: tuple {t} does not match arity {self.arity}")
+        values = set(chain.from_iterable(tuples))
+        if values and (min(values) < 0 or max(values) >= self.d):
+            t = next(t for t in tuples if any(not (0 <= a < self.d) for a in t))
+            raise ValueError(f"value out of domain: tuple {t} has entries outside 0..{self.d - 1}")
 
     def sorted_tuples(self) -> list:
         return sorted(self.tuples)
 
+    @cached_property
+    def _support(self) -> tuple:
+        """Bitset index, built on first use: per position, the (value, mask)
+        pairs of the values occurring there (bit i of a mask for the i-th
+        tuple) and an empty memo of OR-masks by allowed set; and the mask of
+        all tuples.  Cached in the instance dict, not a field, so equality,
+        hash and documents ignore it."""
+        nbytes = (len(self.tuples) + 7) // 8
+        bufs = [defaultdict(lambda: bytearray(nbytes)) for _ in range(self.arity)]
+        for i, t in enumerate(self.tuples):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for column, a in zip(bufs, t):
+                column[a][byte] |= bit
+        masks = [
+            tuple((a, int.from_bytes(buf, "little")) for a, buf in sorted(column.items()))
+            for column in bufs
+        ]
+        return masks, [{} for _ in masks], (1 << len(self.tuples)) - 1
+
     def projections(self, doms) -> tuple:
         """Per position, the values of the tuples whose every coordinate lies
-        in the allowed set of its position (`doms`, one set per position); all
-        empty when no tuple survives.  The one tuple-support scan of the
-        propagation engine and the certificate checker."""
-        alive = [t for t in self.tuples if all(map(contains, doms, t))]
-        if not alive:
-            return (frozenset(),) * self.arity
-        return tuple(map(frozenset, zip(*alive)))
+        in the allowed set of its position (`doms`, one frozenset of values
+        per position); all empty when no tuple survives.  The one
+        tuple-support kernel of the propagation engine and the certificate
+        checker: the survivors are the AND over positions of the OR of the
+        allowed values' masks."""
+        masks, memos, alive = self._support
+        for column, memo, dom in zip(masks, memos, doms):
+            try:
+                allowed = memo[dom]
+            except KeyError:
+                allowed = memo[dom] = _or_mask(column, dom)
+            if allowed is not None:
+                alive &= allowed
+                if not alive:
+                    return (frozenset(),) * self.arity
+        return tuple([frozenset([a for a, m in column if alive & m]) for column in masks])
 
     def __contains__(self, t) -> bool:
         return tuple(t) in self.tuples
+
+
+def _or_mask(column: tuple, dom) -> int | None:
+    """OR of the masks of the column's values in `dom`; None when `dom`
+    admits every value of the column, so that position filters nothing."""
+    allowed = [m for a, m in column if a in dom]
+    return None if len(allowed) == len(column) else reduce(or_, allowed, 0)
 
 
 def full_relation(arity: int, d: int) -> Relation:
@@ -120,6 +160,17 @@ class Instance:
 
     def relation_of(self, c: Constraint) -> Relation:
         return self.language[c.rel]
+
+    @cached_property
+    def occurrences(self) -> dict:
+        """Variable -> (constraint index, scope position) of each of its
+        occurrences, in constraint order; built on first use and cached in
+        the instance dict, not a field."""
+        out: dict[str, list] = {}
+        for ci, c in enumerate(self.constraints):
+            for pos, var in enumerate(c.scope):
+                out.setdefault(var, []).append((ci, pos))
+        return {var: tuple(occ) for var, occ in out.items()}
 
 
 def make_instance(d, variables, constraints, relations) -> Instance:
@@ -193,18 +244,14 @@ def load_instance(document: str) -> Instance:
         arity = entry["arity"]
         if not _positive_int(arity):
             raise InstanceFormatError(f"malformed document: arity of relation {name!r}")
-        tuples = frozenset(
-            tuple(int(a) for a in _list(t, f"a tuple of relation {name!r}"))
+        tuples = [
+            tuple(map(int, _list(t, f"a tuple of relation {name!r}")))
             for t in _list(entry["tuples"], f"tuples of relation {name!r}")
-        )
-        for t in tuples:
-            if len(t) != arity:
-                raise InstanceFormatError(
-                    f"arity mismatch: relation {name!r} declares arity {arity}, tuple {t}"
-                )
-            if any(not (0 <= a < d) for a in t):
-                raise InstanceFormatError(f"value out of domain in relation {name!r}: {t}")
-        rels[name] = Relation(arity, d, tuples)
+        ]
+        try:
+            rels[name] = Relation(arity, d, tuples)
+        except ValueError as exc:  # arity mismatch or value out of domain
+            raise InstanceFormatError(f"{exc} in relation {name!r}") from None
     variables = [str(v) for v in _list(obj["variables"], "variables")]
     constraints = []
     for c in _list(obj["constraints"], "constraints"):

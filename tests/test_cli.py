@@ -384,6 +384,8 @@ DOCUMENT_MUTATIONS = {
     "constraints-object": lambda obj: obj.update(constraints={}),
     "scope-number": lambda obj: obj["constraints"][0].update(scope=3),
     "rel-list": lambda obj: obj["constraints"][0].update(rel=["Rminus"]),
+    "tuple-arity": lambda obj: _first_relation(obj)["tuples"].append([0, 1]),
+    "tuple-value": lambda obj: _first_relation(obj)["tuples"].append([0, 1, 2]),
 }
 
 

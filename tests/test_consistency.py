@@ -48,6 +48,15 @@ def test_linear_ac_pin_only_no_constraints():
     assert result.domains == {"a": frozenset({1}), "b": frozenset({0, 1})}
 
 
+def test_linear_ac_accepts_plain_set_domains():
+    inst = implication_chain_instance()
+    as_sets = {v: set(vals) for v, vals in full_domains(inst).items()}
+    for pin in (("x", 0), ("x", 1), ("y", 0)):
+        given, default = linear_ac(inst, as_sets, pin=pin), linear_ac(inst, pin=pin)
+        assert (given.consistent, given.domains) == (default.consistent, default.domains)
+        assert given.store.facts == default.store.facts
+
+
 def test_linear_ac_magic_square_pin_keeps_full_domains():
     inst = magic_square()
     result = linear_ac(inst, pin=("x1", 0))

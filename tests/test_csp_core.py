@@ -138,23 +138,105 @@ def test_brute_force_guard():
         brute_force_solve(inst)
 
 
+def brute_force_projections(rel, doms):
+    alive = [t for t in rel.tuples if all(t[j] in doms[j] for j in range(rel.arity))]
+    return tuple(frozenset(t[j] for t in alive) for j in range(rel.arity))
+
+
+def random_domains(rng, d, arity):
+    doms = []
+    for _ in range(arity):
+        kind = rng.choice(("empty", "full", "random"))
+        if kind == "empty":
+            doms.append(frozenset())
+        elif kind == "full":
+            doms.append(frozenset(range(d)))
+        else:
+            doms.append(frozenset(a for a in range(d) if rng.random() < 0.5))
+    return doms
+
+
+def random_relation(rng, d, arity, size=None):
+    universe = list(product(range(d), repeat=arity))
+    if size is None:
+        size = rng.randint(0, len(universe))
+    return Relation(arity, d, frozenset(rng.sample(universe, size)))
+
+
 def test_projections_match_brute_force():
     rng = random.Random(2026)
     for _ in range(400):
-        d = rng.randint(1, 5)
-        arity = rng.randint(1, 4)
-        universe = list(product(range(d), repeat=arity))
-        rel = Relation(arity, d, frozenset(rng.sample(universe, rng.randint(0, len(universe)))))
-        doms = []
-        for _ in range(arity):
-            kind = rng.choice(("empty", "full", "random"))
-            if kind == "empty":
-                doms.append(frozenset())
-            elif kind == "full":
-                doms.append(frozenset(range(d)))
-            else:
-                doms.append(frozenset(a for a in range(d) if rng.random() < 0.5))
-        alive = [t for t in rel.tuples if all(t[j] in doms[j] for j in range(arity))]
-        expected = tuple(frozenset(t[j] for t in alive) for j in range(arity))
-        assert rel.projections(doms) == expected
+        rel = random_relation(rng, rng.randint(1, 5), rng.randint(1, 4))
+        doms = random_domains(rng, rel.d, rel.arity)
+        assert rel.projections(doms) == brute_force_projections(rel, doms)
 
+
+def test_projections_with_warm_index_match_brute_force():
+    """Many calls on one relation: the index and the per-position OR-mask
+    memo are built by the first calls and reused, with repeated and varied
+    domains, zero tuples, arity 1 and d up to 7."""
+    rng = random.Random(6)
+    cases = [(d, 1, None) for d in range(1, 8)]
+    cases += [(d, arity, 0) for d in (1, 3, 7) for arity in (1, 2, 3)]
+    cases += [(rng.randint(1, 7), rng.randint(1, 4), None) for _ in range(40)]
+    for d, arity, size in cases:
+        if d ** arity > 2500:
+            arity = 2
+        rel = random_relation(rng, d, arity, size)
+        asked = []
+        for _ in range(60):
+            if asked and rng.random() < 0.4:
+                doms = rng.choice(asked)  # repeated domains hit the memo
+            else:
+                doms = random_domains(rng, d, arity)
+                asked.append(doms)
+            assert rel.projections(doms) == brute_force_projections(rel, doms)
+
+
+def test_equal_relations_answer_alike():
+    rng = random.Random(11)
+    for _ in range(30):
+        d, arity = rng.randint(1, 5), rng.randint(1, 3)
+        rel = random_relation(rng, d, arity)
+        twin = Relation(arity, d, frozenset(rel.sorted_tuples()))
+        assert twin == rel and twin is not rel
+        for _ in range(20):
+            doms = random_domains(rng, d, arity)
+            # the twin builds its own index, in a different call order
+            assert twin.projections(doms) == rel.projections(doms)
+
+
+def test_index_leaves_identity_unchanged():
+    inst = magic_square()
+    digest = instance_digest(inst)
+    rel = inst.relation_of(inst.constraints[0])
+    fresh = Relation(rel.arity, rel.d, rel.tuples)
+    before = (rel == fresh, hash(rel), repr(rel))
+    for c in inst.constraints:
+        inst.relation_of(c).projections([frozenset({0})] * 3)
+    assert inst.occurrences["x5"] == ((1, 1), (4, 1))
+    assert (rel == fresh, hash(rel), repr(rel)) == before
+    assert rel == fresh and hash(rel) == hash(fresh)
+    assert instance_digest(inst) == digest
+    assert load_instance(serialize_instance(inst)) == inst
+
+
+def test_load_rejects_bad_tuples():
+    base = {
+        "d": 2,
+        "relations": {"r": {"arity": 2, "tuples": [[0, 1], [1, 0]]}},
+        "variables": ["x", "y"],
+        "constraints": [{"scope": ["x", "y"], "rel": "r"}],
+    }
+    short = json.loads(json.dumps(base))
+    short["relations"]["r"]["tuples"].append([1])
+    with pytest.raises(InstanceFormatError, match=r"arity mismatch.*'r'"):
+        load_instance(json.dumps(short))
+    wide = json.loads(json.dumps(base))
+    wide["relations"]["r"]["tuples"].append([0, 2])
+    with pytest.raises(InstanceFormatError, match=r"value out of domain.*'r'"):
+        load_instance(json.dumps(wide))
+    with pytest.raises(ValueError, match="arity mismatch"):
+        Relation(2, 2, frozenset({(0, 1), (1,)}))
+    with pytest.raises(ValueError, match="value out of domain"):
+        Relation(2, 2, frozenset({(0, -1)}))
