@@ -180,8 +180,6 @@ def test_projections_with_warm_index_match_brute_force():
     cases += [(d, arity, 0) for d in (1, 3, 7) for arity in (1, 2, 3)]
     cases += [(rng.randint(1, 7), rng.randint(1, 4), None) for _ in range(40)]
     for d, arity, size in cases:
-        if d ** arity > 2500:
-            arity = 2
         rel = random_relation(rng, d, arity, size)
         asked = []
         for _ in range(60):
