@@ -80,8 +80,7 @@ def linear_ac(inst: Instance, domains: dict | None = None, pin: tuple | None = N
     lies in the (pin-adjusted) current domains.  Inconsistent as soon as some
     derivation comes out empty.
     """
-    # frozensets, because Relation.projections memoizes by allowed set
-    eff = {v: frozenset(vals) for v, vals in (domains or full_domains(inst)).items()}
+    eff = dict(domains) if domains is not None else full_domains(inst)
     for v in inst.variables:
         eff.setdefault(v, frozenset(range(inst.d)))
     store = FactStore()

@@ -49,51 +49,39 @@ class Relation:
 
     @cached_property
     def _support(self) -> tuple:
-        """Bitset index, built on first use: per position, the (value, mask)
-        pairs of the values occurring there (bit i of a mask for the i-th
-        tuple) and an empty memo of OR-masks by allowed set; and the mask of
-        all tuples.  Cached in the instance dict, not a field, so equality,
-        hash and documents ignore it."""
+        """Bitset index, built on first use: per position, the set of values
+        occurring there and their (value, mask) pairs (bit i of a mask for
+        the i-th tuple); and the mask of all tuples.  Cached in the instance
+        dict, not a field, so equality, hash and documents ignore it."""
         nbytes = (len(self.tuples) + 7) // 8
         bufs = [defaultdict(lambda: bytearray(nbytes)) for _ in range(self.arity)]
         for i, t in enumerate(self.tuples):
             byte, bit = i >> 3, 1 << (i & 7)
             for column, a in zip(bufs, t):
                 column[a][byte] |= bit
-        masks = [
-            tuple((a, int.from_bytes(buf, "little")) for a, buf in sorted(column.items()))
-            for column in bufs
-        ]
-        return masks, [{} for _ in masks], (1 << len(self.tuples)) - 1
+        index = []
+        for column in bufs:
+            pairs = tuple((a, int.from_bytes(buf, "little")) for a, buf in sorted(column.items()))
+            index.append((frozenset(column), pairs))
+        return index, (1 << len(self.tuples)) - 1
 
     def projections(self, doms) -> tuple:
         """Per position, the values of the tuples whose every coordinate lies
-        in the allowed set of its position (`doms`, one frozenset of values
-        per position); all empty when no tuple survives.  The one
-        tuple-support kernel of the propagation engine and the certificate
-        checker: the survivors are the AND over positions of the OR of the
-        allowed values' masks."""
-        masks, memos, alive = self._support
-        for column, memo, dom in zip(masks, memos, doms):
-            try:
-                allowed = memo[dom]
-            except KeyError:
-                allowed = memo[dom] = _or_mask(column, dom)
-            if allowed is not None:
-                alive &= allowed
+        in the allowed set of its position (`doms`, one set of values per
+        position); all empty when no tuple survives.  The one tuple-support
+        kernel of the propagation engine and the certificate checker: the
+        survivors are the AND over positions of the OR of the allowed values'
+        masks, skipping a position whose set admits its whole column."""
+        index, alive = self._support
+        for (values, column), dom in zip(index, doms):
+            if not values.issubset(dom):
+                alive &= reduce(or_, [m for a, m in column if a in dom], 0)
                 if not alive:
                     return (frozenset(),) * self.arity
-        return tuple([frozenset([a for a, m in column if alive & m]) for column in masks])
+        return tuple([frozenset([a for a, m in column if alive & m]) for _, column in index])
 
     def __contains__(self, t) -> bool:
         return tuple(t) in self.tuples
-
-
-def _or_mask(column: tuple, dom) -> int | None:
-    """OR of the masks of the column's values in `dom`; None when `dom`
-    admits every value of the column, so that position filters nothing."""
-    allowed = [m for a, m in column if a in dom]
-    return None if len(allowed) == len(column) else reduce(or_, allowed, 0)
 
 
 def full_relation(arity: int, d: int) -> Relation:

@@ -172,9 +172,9 @@ def test_projections_match_brute_force():
 
 
 def test_projections_with_warm_index_match_brute_force():
-    """Many calls on one relation: the index and the per-position OR-mask
-    memo are built by the first calls and reused, with repeated and varied
-    domains, zero tuples, arity 1 and d up to 7."""
+    """Many calls on one relation: the index is built by the first call and
+    reused, with repeated and varied domains, zero tuples, arity 1 and d up
+    to 7."""
     rng = random.Random(6)
     cases = [(d, 1, None) for d in range(1, 8)]
     cases += [(d, arity, 0) for d in (1, 3, 7) for arity in (1, 2, 3)]
@@ -184,11 +184,25 @@ def test_projections_with_warm_index_match_brute_force():
         asked = []
         for _ in range(60):
             if asked and rng.random() < 0.4:
-                doms = rng.choice(asked)  # repeated domains hit the memo
+                doms = rng.choice(asked)
             else:
                 doms = random_domains(rng, d, arity)
                 asked.append(doms)
             assert rel.projections(doms) == brute_force_projections(rel, doms)
+
+
+def test_projections_accept_any_container():
+    """Allowed sets need only support `in`: plain sets, lists and ranges
+    give the frozenset answers."""
+    rng = random.Random(7)
+    for _ in range(100):
+        rel = random_relation(rng, rng.randint(1, 5), rng.randint(1, 3))
+        doms = random_domains(rng, rel.d, rel.arity)
+        expected = brute_force_projections(rel, doms)
+        assert rel.projections([set(dom) for dom in doms]) == expected
+        assert rel.projections([sorted(dom) for dom in doms]) == expected
+        full = [range(rel.d)] * rel.arity
+        assert rel.projections(full) == brute_force_projections(rel, full)
 
 
 def test_equal_relations_answer_alike():

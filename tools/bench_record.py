@@ -4,12 +4,12 @@ write both sides to one JSON record.
     python tools/bench_record.py --base HEAD~1 --out BENCH_6.json
 
 The base commit is exported with `git archive` into a temporary directory;
-the change side is the working tree this script sits in.  Each pair runs
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` once on each
-side with the same seed (pair k uses seed k + 1) and the run length of
-`BENCHMARK.json`; even pairs run the base first and odd pairs the change
-first.  After the timed pairs, one
-traced run (`--trace 1`) per side and workload records the per-layer
+the change side is the working tree this script sits in.  Each of ten
+pairs runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
+once on each side for every workload of `BENCHMARK.json`, with the same seed
+(pair k uses seed k + 1) and the run length T of `BENCHMARK.json`; even pairs
+run the base first and odd pairs the change first.  After the timed pairs,
+one traced run (`--trace 1`) per side and workload records the per-layer
 metrics.  The benchmark itself, its corpora and its bounds are not touched.
 
 The record holds every run's JSON line and, per workload and end-to-end
@@ -33,17 +33,13 @@ from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision of the base side")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="default: every workload of BENCHMARK.json")
     return parser.parse_args(argv)
 
 
@@ -100,8 +96,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     record = {
         "base": None,
         "change": "working tree on " + subprocess.run(
@@ -109,14 +105,14 @@ def main(argv=None) -> int:
         ).stdout.strip(),
         "machine": f"{platform.machine()}, {platform.python_implementation()} {platform.python_version()}",
         "command": f"perfbench/run.py --seconds {seconds} --trace 0",
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         sides = {"base": Path(tmp), "change": ROOT}
         record["base"] = export(args.base, sides["base"])
         runs = {w: {"base": [], "change": []} for w in workloads}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             seed = k + 1
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             for workload in workloads:
