@@ -11,7 +11,9 @@ product, i.e. the contradiction I = 0.
 
 The checker trusts nothing from the builder: it replays every chain image
 against the instance, re-verifies every Bezout identity modulo x^d - 1 with
-exact cyclotomic arithmetic, and re-expands every collapse subtraction.
+exact cyclotomic arithmetic, and re-expands every collapse subtraction.  Its
+membership differences and root products are pure functions of a value set
+and d, so it memoizes them in caches of its own, apart from the builder's.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 from .consistency import RefutationChain, SlacResult
 from .csp_core import Instance, instance_digest
-from .cyclotomic import UniPoly, embed
+from .cyclotomic import ZERO, CycNum, UniPoly, embed
 from .fourier import complement, dom_difference_inverse, dom_polynomial, root_product
 
 FORMAT = "gap-certificate/1"
@@ -175,6 +177,29 @@ def _reject(location: tuple, reason: str) -> CheckResult:
     return CheckResult(False, location, reason)
 
 
+# The checker's memos, keyed by (frozenset, d): at most 2^d entries per d.
+@lru_cache(maxsize=None)
+def _membership_difference(image: frozenset, d: int) -> UniPoly:
+    return dom_polynomial(image, d) - dom_polynomial(complement(image, d), d)
+
+
+_root_product = lru_cache(maxsize=None)(root_product)
+
+
+def _bezout_residue(p: UniPoly, q: UniPoly, c: CycNum, d: int) -> UniPoly:
+    """(p*q - c) modulo x^d - 1, computed by folding: since x^d = 1 there,
+    each product x*y of coefficients of degrees i and j lands in slot
+    (i + j) mod d."""
+    slots = [ZERO] * d
+    for i, x in enumerate(p.coeffs):
+        if not x.is_zero():
+            for j, y in enumerate(q.coeffs):
+                k = (i + j) % d
+                slots[k] = slots[k] + x * y
+    slots[0] = slots[0] - c
+    return UniPoly(slots)
+
+
 def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tuple = ()) -> CheckResult:
     """Replay one certificate section under `remaining` (variable -> values
     not yet excluded).
@@ -182,8 +207,9 @@ def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tu
     Checks, in order: that the pinned value is still allowed; that every step
     is licensed by a constraint of the instance, its recorded set being
     exactly the image of the previous set through the relation filtered by
-    the replayed domains; that every Bezout witness satisfies p*q = c modulo
-    x^d - 1 with c nonzero; and that the chain terminates in the empty set.
+    the replayed domains; that every Bezout witness (q, c) has c nonzero and
+    q of degree below d, and satisfies p*q = c modulo x^d - 1; and that the
+    chain terminates in the empty set.
     """
     if chain.var not in remaining:
         return _reject(loc, f"unknown variable {chain.var!r}")
@@ -192,7 +218,6 @@ def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tu
     if not chain.steps:
         return _reject(loc, "empty derivation chain")
     d = inst.d
-    circle = UniPoly.x_pow_minus_one(d)
     eff = {v: frozenset(vals) for v, vals in remaining.items()}
     eff[chain.var] = frozenset({chain.value})
     cur_var, cur_set = chain.var, eff[chain.var]
@@ -227,8 +252,9 @@ def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tu
             q, cc = st.inverse
             if cc.is_zero():
                 return _reject(sloc, "witness constant is zero")
-            p = dom_polynomial(image, d) - dom_polynomial(complement(image, d), d)
-            if not ((p * q - UniPoly.constant(cc)) % circle).is_zero():
+            if q.degree >= d:
+                return _reject(sloc, "witness degree >= d")
+            if not _bezout_residue(_membership_difference(image, d), q, cc, d).is_zero():
                 return _reject(sloc, "Bezout identity fails modulo x^d - 1")
         cur_var, cur_set = st.var, image
     return CheckResult(True)
@@ -272,8 +298,8 @@ def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
             return _reject(loc, "degenerate shrink pair")
         if S | {r1} not in established or S | {r2} not in established:
             return _reject(loc, "references an equation that is not established")
-        lhs = root_product(S | {r1}, d) - root_product(S | {r2}, d)
-        rhs = root_product(S, d) * (embed(r2, d) - embed(r1, d))
+        lhs = _root_product(S | {r1}, d) - _root_product(S | {r2}, d)
+        rhs = _root_product(S, d) * (embed(r2, d) - embed(r1, d))
         if lhs != rhs:
             return _reject(loc, "shrink subtraction is not coefficient-exact")
         established.add(S)

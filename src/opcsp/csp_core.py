@@ -160,6 +160,12 @@ class Instance:
                 out.setdefault(var, []).append((ci, pos))
         return {var: tuple(occ) for var, occ in out.items()}
 
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the serialized instance document; computed on first use
+        and cached in the instance dict, not a field."""
+        return hashlib.sha256(serialize_instance(self).encode("utf-8")).hexdigest()
+
 
 def make_instance(d, variables, constraints, relations) -> Instance:
     """Convenience constructor from plain data (relations: name -> tuple iterable or Relation)."""
@@ -197,7 +203,7 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def instance_digest(inst: Instance) -> str:
-    return hashlib.sha256(serialize_instance(inst).encode("utf-8")).hexdigest()
+    return inst.digest
 
 
 def _positive_int(x) -> bool:

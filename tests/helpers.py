@@ -4,6 +4,7 @@ test suites."""
 import random
 from itertools import product
 
+from opcsp.certificates import CheckResult
 from opcsp.consistency import full_domains
 from opcsp.csp_core import (
     BRUTE_FORCE_GUARD,
@@ -13,6 +14,8 @@ from opcsp.csp_core import (
     search_space_size,
     validate_assignment,
 )
+from opcsp.cyclotomic import embed
+from opcsp.fourier import root_product
 from opcsp.gap_instances import horn_language, shift_language, two_clause_language
 
 
@@ -102,3 +105,57 @@ def full_ac(inst: Instance, domains: dict | None = None) -> tuple[bool, dict]:
                     changed = True
     consistent = all(eff[v] for v in inst.variables)
     return consistent, eff
+
+
+def minimal_conflict_instance(d: int = 2) -> Instance:
+    """One variable x over 0..d-1 under the unary constraints x = 0 and x = 1."""
+    rels = {"only0": [(0,)], "only1": [(1,)]}
+    return make_instance(d, ["x"], [(("x",), "only0"), (("x",), "only1")], rels)
+
+
+def collapse_mutations(script: tuple, d: int):
+    """Single-entry mutations of a collapse script, as (label, script) pairs.
+
+    Per entry (base, r1, r2): r1 and r2 swapped (still a valid entry); one
+    base element dropped; one value of 0..d-1 added to the base; the entry
+    moved ahead of the first entry that establishes one of its two sets;
+    the entry deleted."""
+    for j, (base, r1, r2) in enumerate(script):
+        def put(entry, j=j):
+            return script[:j] + (entry,) + script[j + 1:]
+
+        yield f"{j} swap", put((base, r2, r1))
+        for b in base:
+            yield f"{j} drop {b}", put((tuple(x for x in base if x != b), r1, r2))
+        for a in range(d):
+            if a not in base:
+                yield f"{j} add {a}", put((tuple(sorted(base + (a,))), r1, r2))
+        S = frozenset(base)
+        parents = [k for k, (b, _, _) in enumerate(script[:j]) if frozenset(b) in (S | {r1}, S | {r2})]
+        if parents:
+            k = parents[0]
+            yield f"{j} ahead of {k}", script[:k] + (script[j],) + script[k:j] + script[j + 1:]
+        yield f"{j} delete", script[:j] + script[j + 1:]
+
+
+def reference_collapse_check(d: int, collapse) -> CheckResult:
+    """The collapse replay of `check_certificate`, computing every root
+    product afresh (test oracle for the checker's memoized loop)."""
+    established = {frozenset(range(d)) - {k} for k in range(d)}
+    for j, (base, r1, r2) in enumerate(collapse):
+        loc = ("collapse", j)
+        S = frozenset(base)
+        if len(base) != len(S):
+            return CheckResult(False, loc, "duplicate entries in the base set")
+        if r1 == r2 or r1 in S or r2 in S or not (0 <= r1 < d and 0 <= r2 < d):
+            return CheckResult(False, loc, "degenerate shrink pair")
+        if S | {r1} not in established or S | {r2} not in established:
+            return CheckResult(False, loc, "references an equation that is not established")
+        lhs = root_product(S | {r1}, d) - root_product(S | {r2}, d)
+        rhs = root_product(S, d) * (embed(r2, d) - embed(r1, d))
+        if lhs != rhs:
+            return CheckResult(False, loc, "shrink subtraction is not coefficient-exact")
+        established.add(S)
+    if frozenset() not in established:
+        return CheckResult(False, ("collapse",), "script never reaches the empty product")
+    return CheckResult(True)

@@ -1,5 +1,7 @@
 """Certificate compilation and the independent exact checker."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from opcsp.certificates import (
     GapCertificate,
+    _bezout_residue,
     build_certificate,
     check_certificate,
     collapse_script,
@@ -15,16 +18,17 @@ from opcsp.certificates import (
 from opcsp.consistency import ChainStep, RefutationChain, slac
 from opcsp.csp_core import brute_force_solve, make_instance
 from opcsp.cyclotomic import CycNum, UniPoly
-from opcsp.fourier import dom_polynomial
+from opcsp.fourier import complement, dom_difference_inverse, dom_polynomial
 from opcsp.gap_instances import magic_square
 from opcsp.operators import apply_unipoly_matrix, fro
 
-from helpers import bounded_width_corpus, iter_solutions
-
-
-def minimal_conflict_instance():
-    rels = {"only0": [(0,)], "only1": [(1,)]}
-    return make_instance(2, ["x"], [(("x",), "only0"), (("x",), "only1")], rels)
+from helpers import (
+    bounded_width_corpus,
+    collapse_mutations,
+    iter_solutions,
+    minimal_conflict_instance,
+    reference_collapse_check,
+)
 
 
 def test_minimal_two_unary_conflict():
@@ -95,20 +99,20 @@ def find_cert_with_witness(corpus_seed=321, count=60):
     raise AssertionError("corpus produced no certificate with a Bezout witness")
 
 
-def _with_perturbed_witness(cert: GapCertificate, k: int, i: int) -> GapCertificate:
+def _with_witness(cert: GapCertificate, k: int, i: int, q: UniPoly) -> GapCertificate:
     sec = cert.sections[k]
-    st = sec.steps[i]
-    q, c = st.inverse
+    steps = list(sec.steps)
+    steps[i] = replace(steps[i], inverse=(q, steps[i].inverse[1]))
+    sections = list(cert.sections)
+    sections[k] = replace(sec, steps=tuple(steps))
+    return replace(cert, sections=tuple(sections))
+
+
+def _with_perturbed_witness(cert: GapCertificate, k: int, i: int) -> GapCertificate:
+    q, _ = cert.sections[k].steps[i].inverse
     coeffs = list(q.coeffs) if not q.is_zero() else [CycNum.zero()]
     coeffs[0] = coeffs[0] + CycNum.from_rational(Fraction(1, 3))
-    bad_step = ChainStep(
-        st.constraint, st.src_pos, st.tgt_pos, st.var, st.values, (UniPoly(coeffs), c)
-    )
-    steps = list(sec.steps)
-    steps[i] = bad_step
-    sections = list(cert.sections)
-    sections[k] = RefutationChain(sec.var, sec.value, tuple(steps))
-    return GapCertificate(cert.digest, cert.d, cert.variable, tuple(sections), cert.collapse)
+    return _with_witness(cert, k, i, UniPoly(coeffs))
 
 
 def test_perturbed_witness_rejected():
@@ -117,6 +121,67 @@ def test_perturbed_witness_rejected():
     verdict = check_certificate(inst, bad)
     assert not verdict.accepted
     assert "Bezout" in verdict.reason
+
+
+def test_padded_witness_rejected_before_arithmetic():
+    inst, cert, k, i = find_cert_with_witness()
+    d = cert.d
+    q, c = cert.sections[k].steps[i].inverse
+    assert q.degree < d
+    circle = UniPoly.x_pow_minus_one(d)
+    padded = q + circle * UniPoly([CycNum.from_rational(n) for n in (3, -1, 0, 2)])
+    # still a Bezout witness for the step's membership difference ...
+    image = frozenset(cert.sections[k].steps[i].values)
+    p = dom_polynomial(image, d) - dom_polynomial(complement(image, d), d)
+    assert ((p * padded - UniPoly.constant(c)) % circle).is_zero()
+    # ... but not one of bounded size
+    bad = _with_witness(cert, k, i, padded)
+    for candidate in (bad, GapCertificate.from_json(bad.to_json())):
+        verdict = check_certificate(inst, candidate)
+        assert not verdict.accepted
+        assert verdict.location == ("section", k, "step", i)
+        assert verdict.reason == "witness degree >= d"
+
+
+def _random_cycnum(rng: random.Random, d: int) -> CycNum:
+    order = rng.choice([L for L in range(1, d + 1) if d % L == 0])
+    if rng.random() < 0.2:
+        return CycNum.zero()
+    return CycNum(order, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(order)])
+
+
+def test_bezout_fold_matches_division_by_circle():
+    rng = random.Random(7)
+    for d in range(2, 12):
+        circle = UniPoly.x_pow_minus_one(d)
+        for _ in range(12):
+            p = UniPoly([_random_cycnum(rng, d) for _ in range(rng.randint(0, 2 * d))])
+            q = UniPoly([_random_cycnum(rng, d) for _ in range(rng.randint(0, 2 * d))])
+            c = _random_cycnum(rng, d)
+            assert _bezout_residue(p, q, c, d) == (p * q - UniPoly.constant(c)) % circle
+    for d in range(2, 8):
+        circle = UniPoly.x_pow_minus_one(d)
+        for mask in range(1, 2 ** d - 1):
+            S = frozenset(k for k in range(d) if mask >> k & 1)
+            p = dom_polynomial(S, d) - dom_polynomial(complement(S, d), d)
+            q, c = dom_difference_inverse(S, d)
+            expected = (p * q - UniPoly.constant(c)) % circle
+            assert expected.is_zero()
+            assert _bezout_residue(p, q, c, d) == expected
+            off = c + CycNum.from_rational(1)
+            assert _bezout_residue(p, q, off, d) == (p * q - UniPoly.constant(off)) % circle
+
+
+def test_collapse_mutations_match_reference_loop():
+    for d in range(2, 7):
+        inst = minimal_conflict_instance(d)
+        cert, verdict = certify(inst)
+        assert verdict.accepted
+        assert cert.collapse == collapse_script(d)
+        for label, script in collapse_mutations(cert.collapse, d):
+            verdict = check_certificate(inst, replace(cert, collapse=script))
+            assert verdict.describe() == reference_collapse_check(d, script).describe(), (d, label)
+            assert verdict.accepted == label.endswith("swap"), (d, label, verdict.describe())
 
 
 def test_unlicensed_rule_rejected():

@@ -1,5 +1,7 @@
 """Instance model, documents, and the brute-force oracle."""
 
+import dataclasses
+import hashlib
 import json
 import random
 from itertools import product
@@ -220,17 +222,27 @@ def test_equal_relations_answer_alike():
 
 def test_index_leaves_identity_unchanged():
     inst = magic_square()
-    digest = instance_digest(inst)
+    twin = magic_square()
+    inst_before = (inst == twin, repr(inst))
     rel = inst.relation_of(inst.constraints[0])
     fresh = Relation(rel.arity, rel.d, rel.tuples)
     before = (rel == fresh, hash(rel), repr(rel))
+    digest = instance_digest(inst)
     for c in inst.constraints:
         inst.relation_of(c).projections([frozenset({0})] * 3)
     assert inst.occurrences["x5"] == ((1, 1), (4, 1))
     assert (rel == fresh, hash(rel), repr(rel)) == before
     assert rel == fresh and hash(rel) == hash(fresh)
-    assert instance_digest(inst) == digest
-    assert load_instance(serialize_instance(inst)) == inst
+    assert "digest" not in {f.name for f in dataclasses.fields(inst)}
+    assert (inst == twin, repr(inst)) == inst_before
+    for x in (inst, twin):  # the language's relation dict keeps instances unhashable
+        with pytest.raises(TypeError):
+            hash(x)
+    loaded = load_instance(serialize_instance(inst))
+    assert loaded == inst
+    for x in (inst, loaded):
+        assert instance_digest(x) == x.digest == digest
+        assert digest == hashlib.sha256(serialize_instance(x).encode("utf-8")).hexdigest()
 
 
 def test_load_rejects_bad_tuples():

@@ -21,8 +21,11 @@ Covers, as SHA-256 digests:
   the mapped instance documents, and the JSON of the Pauli assignment carried
   through each transport.
 
-Then it prints the `CheckResult.describe()` text of every `check_certificate`
-call made while
+Then it prints the `check_certificate` verdict, as `CheckResult.describe()`
+text, of every single-entry mutation (`helpers.collapse_mutations`) of the
+collapse script of `helpers.minimal_conflict_instance(d)` for d = 2..6, and
+the `CheckResult.describe()` text of every `check_certificate` call made
+while
 `tests/test_acceptance.py::test_criterion_2_refutations_and_certificates` and
 `tests/test_certificates.py` run.  It uses only API that the refactors of the
 chain path, of the DFT path and of the field representation keep, so the same
@@ -31,7 +34,7 @@ script runs on both sides of such a change:
     cd <checkout> && PYTHONPATH=src:tests python tools/chain_outputs.py > out.txt
     diff <old checkout>/out.txt <new checkout>/out.txt
 
-Takes about half a minute.
+Takes about five to ten seconds.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import json
 import random
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -48,7 +52,7 @@ import pytest
 
 import opcsp
 from opcsp import certificates, reductions
-from opcsp.certificates import build_certificate
+from opcsp.certificates import build_certificate, check_certificate
 from opcsp.consistency import slac, slac_result_to_json
 from opcsp.csp_core import Relation, serialize_instance
 from opcsp.cyclotomic import CycNum, UniPoly, embed, poly_ext_gcd
@@ -63,7 +67,7 @@ from opcsp.gap_instances import (
 from opcsp.operators import OperatorAssignment, operator_assignment_to_json
 from opcsp.reductions import Congruence, UnaryMap, indicator_interpolant
 
-from helpers import bounded_width_corpus
+from helpers import bounded_width_corpus, collapse_mutations, minimal_conflict_instance
 
 SYSTEMS = {
     "z3": (3, "x0 + x1 + x2 = 1\nx1 + x2 + x3 + x4 = 2\nx0 + x4 = 1\n"),
@@ -211,6 +215,15 @@ def emit_field_outputs():
             print(f"witness d={d} S={members} {digest(json.dumps(objs))}")
 
 
+def emit_collapse_outputs():
+    for d in range(2, 7):
+        inst = minimal_conflict_instance(d)
+        cert = build_certificate(inst, slac(inst))
+        for label, script in collapse_mutations(cert.collapse, d):
+            verdict = check_certificate(inst, replace(cert, collapse=script))
+            print(f"collapse d={d} {label}: {verdict.describe()}")
+
+
 class RecordChecks:
     """Wraps check_certificate at its module attributes before the test
     modules import it, and records every verdict."""
@@ -234,6 +247,7 @@ def main() -> int:
     emit_outputs()
     emit_dft_outputs()
     emit_field_outputs()
+    emit_collapse_outputs()
     recorder = RecordChecks()
     with redirect_stdout(sys.stderr):  # keep pytest's report, with its timings, off stdout
         code = pytest.main(
