@@ -11,9 +11,9 @@ product, i.e. the contradiction I = 0.
 
 The checker trusts nothing from the builder: it replays every chain image
 against the instance, re-verifies every Bezout identity modulo x^d - 1 with
-exact cyclotomic arithmetic, and re-expands every collapse subtraction.  Its
-membership differences and root products are pure functions of a value set
-and d, so it memoizes them in caches of its own, apart from the builder's.
+exact cyclotomic arithmetic, and re-expands every collapse subtraction.  Within
+one `check_certificate` call it computes each membership difference and each
+root product once per value set; nothing it computes outlives the call.
 """
 
 from __future__ import annotations
@@ -177,15 +177,6 @@ def _reject(location: tuple, reason: str) -> CheckResult:
     return CheckResult(False, location, reason)
 
 
-# The checker's memos, keyed by (frozenset, d): at most 2^d entries per d.
-@lru_cache(maxsize=None)
-def _membership_difference(image: frozenset, d: int) -> UniPoly:
-    return dom_polynomial(image, d) - dom_polynomial(complement(image, d), d)
-
-
-_root_product = lru_cache(maxsize=None)(root_product)
-
-
 def _bezout_residue(p: UniPoly, q: UniPoly, c: CycNum, d: int) -> UniPoly:
     """(p*q - c) modulo x^d - 1, computed by folding: since x^d = 1 there,
     each product x*y of coefficients of degrees i and j lands in slot
@@ -200,7 +191,8 @@ def _bezout_residue(p: UniPoly, q: UniPoly, c: CycNum, d: int) -> UniPoly:
     return UniPoly(slots)
 
 
-def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tuple = ()) -> CheckResult:
+def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tuple = (),
+                differences: dict | None = None) -> CheckResult:
     """Replay one certificate section under `remaining` (variable -> values
     not yet excluded).
 
@@ -209,7 +201,8 @@ def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tu
     exactly the image of the previous set through the relation filtered by
     the replayed domains; that every Bezout witness (q, c) has c nonzero and
     q of degree below d, and satisfies p*q = c modulo x^d - 1; and that the
-    chain terminates in the empty set.
+    chain terminates in the empty set.  `differences` (image -> membership
+    difference p) lets the sections of one certificate share each p.
     """
     if chain.var not in remaining:
         return _reject(loc, f"unknown variable {chain.var!r}")
@@ -218,6 +211,8 @@ def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tu
     if not chain.steps:
         return _reject(loc, "empty derivation chain")
     d = inst.d
+    if differences is None:
+        differences = {}
     eff = {v: frozenset(vals) for v, vals in remaining.items()}
     eff[chain.var] = frozenset({chain.value})
     cur_var, cur_set = chain.var, eff[chain.var]
@@ -254,7 +249,9 @@ def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tu
                 return _reject(sloc, "witness constant is zero")
             if q.degree >= d:
                 return _reject(sloc, "witness degree >= d")
-            if not _bezout_residue(_membership_difference(image, d), q, cc, d).is_zero():
+            if image not in differences:
+                differences[image] = dom_polynomial(image, d) - dom_polynomial(complement(image, d), d)
+            if not _bezout_residue(differences[image], q, cc, d).is_zero():
                 return _reject(sloc, "Bezout identity fails modulo x^d - 1")
         cur_var, cur_set = st.var, image
     return CheckResult(True)
@@ -276,8 +273,9 @@ def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
     if cert.variable not in inst.variables:
         return _reject(("variable",), f"unknown variable {cert.variable!r}")
     remaining = {v: set(range(d)) for v in inst.variables}
+    differences = {}
     for k, sec in enumerate(cert.sections):
-        verdict = check_chain(inst, remaining, sec, ("section", k))
+        verdict = check_chain(inst, remaining, sec, ("section", k), differences)
         if not verdict:
             return verdict
         remaining[sec.var].discard(sec.value)
@@ -289,6 +287,13 @@ def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
         )
 
     established = {frozenset(range(d)) - {k} for k in range(d)}
+    products = {}  # value set -> root_product, each computed once
+
+    def product(T: frozenset) -> UniPoly:
+        if T not in products:
+            products[T] = root_product(T, d)
+        return products[T]
+
     for j, (base, r1, r2) in enumerate(cert.collapse):
         loc = ("collapse", j)
         S = frozenset(base)
@@ -298,8 +303,8 @@ def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
             return _reject(loc, "degenerate shrink pair")
         if S | {r1} not in established or S | {r2} not in established:
             return _reject(loc, "references an equation that is not established")
-        lhs = _root_product(S | {r1}, d) - _root_product(S | {r2}, d)
-        rhs = _root_product(S, d) * (embed(r2, d) - embed(r1, d))
+        lhs = product(S | {r1}) - product(S | {r2})
+        rhs = product(S) * (embed(r2, d) - embed(r1, d))
         if lhs != rhs:
             return _reject(loc, "shrink subtraction is not coefficient-exact")
         established.add(S)

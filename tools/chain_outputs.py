@@ -24,8 +24,7 @@ Covers, as SHA-256 digests:
 Then it prints the `check_certificate` verdict, as `CheckResult.describe()`
 text, of every single-entry mutation (`helpers.collapse_mutations`) of the
 collapse script of `helpers.minimal_conflict_instance(d)` for d = 2..6, and
-the `CheckResult.describe()` text of every `check_certificate` call made
-while
+the `CheckResult.describe()` text of every `check_certificate` call made while
 `tests/test_acceptance.py::test_criterion_2_refutations_and_certificates` and
 `tests/test_certificates.py` run.  It uses only API that the refactors of the
 chain path, of the DFT path and of the field representation keep, so the same
