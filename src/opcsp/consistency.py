@@ -1,10 +1,12 @@
 """Propagation engines: single-source (linear) arc consistency with full
 provenance and the singleton-probing loop built on top of it.
 
-The linear engine derives facts "variable v lies in S".  Every fact has one
-source fact and one licensing constraint, so walking provenance backwards
-from a contradiction yields a single chain, which is exactly the shape the
-certificate compiler needs.
+The linear engine derives facts "variable v lies in S" and keeps them in one
+insertion-ordered dict keyed by `(v, S)`.  The pinned axiom maps to None;
+every other fact maps to its first derivation, one licensing constraint and
+one source fact key.  Following source keys back from a contradiction
+therefore yields a single chain, which is exactly the shape the certificate
+compiler needs.
 """
 
 from __future__ import annotations
@@ -16,55 +18,14 @@ from .csp_core import Instance
 from .cyclotomic import CycNum, UniPoly
 
 
-AXIOM = "axiom"
-RULE = "rule"
-
-
-@dataclass(frozen=True)
-class DerivedFact:
-    id: int
-    var: str
-    values: frozenset
-    # provenance: (AXIOM, var, value) or (RULE, constraint index, source
-    # position, source fact id, target position)
-    provenance: tuple
-
-
-class FactStore:
-    """Deduplicated facts with first-derivation provenance."""
-
-    def __init__(self):
-        self.facts: list[DerivedFact] = []
-        self._index: dict[tuple, int] = {}
-
-    def add(self, var: str, values: frozenset, provenance: tuple) -> tuple[DerivedFact, bool]:
-        key = (var, values)
-        if key in self._index:
-            return self.facts[self._index[key]], False
-        fact = DerivedFact(len(self.facts), var, values, provenance)
-        self.facts.append(fact)
-        self._index[key] = fact.id
-        return fact, True
-
-    def __len__(self) -> int:
-        return len(self.facts)
-
-    def __getitem__(self, fact_id: int) -> DerivedFact:
-        return self.facts[fact_id]
-
-    def get(self, var: str, values) -> DerivedFact | None:
-        key = (var, frozenset(values))
-        if key in self._index:
-            return self.facts[self._index[key]]
-        return None
-
-
 @dataclass
 class LinearAcResult:
     consistent: bool
     domains: dict | None
-    store: FactStore
-    contradiction: int | None  # fact id of the first empty derivation
+    # (var, values) -> None for the pinned axiom, else its first derivation
+    # (constraint, src_pos, source key, tgt_pos); insertion-ordered
+    store: dict
+    contradiction: tuple | None  # key of the first empty derivation
 
 
 def full_domains(inst: Instance) -> dict:
@@ -83,38 +44,38 @@ def linear_ac(inst: Instance, domains: dict | None = None, pin: tuple | None = N
     eff = dict(domains) if domains is not None else full_domains(inst)
     for v in inst.variables:
         eff.setdefault(v, frozenset(range(inst.d)))
-    store = FactStore()
-    queue: list[int] = []
+    store: dict = {}
+    queue: list[tuple] = []
     if pin is not None:
         v, a = pin
         if v not in eff:
             raise ValueError(f"unknown pinned variable {v!r}")
+        if a not in range(inst.d):
+            raise ValueError(f"pinned value {a!r} outside 0..{inst.d - 1}")
         eff[v] = frozenset({a})
-        fact, _ = store.add(v, frozenset({a}), (AXIOM, v, a))
-        queue.append(fact.id)
+        store[(v, eff[v])] = None
+        queue.append((v, eff[v]))
 
-    head = 0
-    while head < len(queue):
-        fact = store[queue[head]]
-        head += 1
-        for ci, src in inst.occurrences.get(fact.var, ()):
+    for key in queue:  # also visits the keys appended below
+        var, values = key
+        for ci, src in inst.occurrences.get(var, ()):
             c = inst.constraints[ci]
             doms = [eff[v] for v in c.scope]
-            doms[src] = doms[src] & fact.values
+            doms[src] = doms[src] & values
             images = inst.relation_of(c).projections(doms)
             if not images[src]:
-                empty, _ = store.add(fact.var, frozenset(), (RULE, ci, src, fact.id, src))
-                return LinearAcResult(False, None, store, empty.id)
+                empty = (var, frozenset())
+                store[empty] = (ci, src, key, src)
+                return LinearAcResult(False, None, store, empty)
             for tgt, image in enumerate(images):
-                derived, new = store.add(
-                    c.scope[tgt], image, (RULE, ci, src, fact.id, tgt)
-                )
-                if new:
-                    queue.append(derived.id)
+                derived = (c.scope[tgt], image)
+                if derived not in store:
+                    store[derived] = (ci, src, key, tgt)
+                    queue.append(derived)
 
     closed = dict(eff)
-    for fact in store.facts:
-        closed[fact.var] = closed[fact.var] & fact.values
+    for var, values in store:
+        closed[var] = closed[var] & values
     return LinearAcResult(True, closed, store, None)
 
 
@@ -184,21 +145,15 @@ class RefutationChain:
         )
 
 
-def extract_chain(store: FactStore, target) -> RefutationChain:
-    """Walk single-source provenance from a fact back to the pinned axiom."""
-    if isinstance(target, int):
-        if not 0 <= target < len(store):
-            raise KeyError(f"fact {target} not present in the store")
-        target = store[target]
+def extract_chain(store: dict, fact: tuple) -> RefutationChain:
+    """Walk first derivations from a fact key back to the pinned axiom."""
     steps: list[ChainStep] = []
-    fact = target
-    while fact.provenance[0] == RULE:
-        _, ci, src, src_id, tgt = fact.provenance
-        steps.append(ChainStep(ci, src, tgt, fact.var, tuple(sorted(fact.values))))
-        fact = store[src_id]
-    if fact.provenance[0] != AXIOM:
-        raise ValueError("provenance chain does not terminate in an axiom")
-    _, var, value = fact.provenance
+    while (derivation := store[fact]) is not None:
+        ci, src, source, tgt = derivation
+        var, values = fact
+        steps.append(ChainStep(ci, src, tgt, var, tuple(sorted(values))))
+        fact = source
+    var, (value,) = fact
     return RefutationChain(var, value, tuple(reversed(steps)))
 
 

@@ -391,9 +391,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, s) -> "UniPoly":
-        return self * CycNum._coerce(s)
-
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -415,11 +412,6 @@ class UniPoly:
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return self * self.leading().inverse()
 
     def eval(self, point) -> CycNum:
         point = CycNum._coerce(point)
@@ -451,11 +443,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
-
-
-def cyclotomic_polynomial(L: int) -> UniPoly:
-    """Phi_L as a UniPoly with rational coefficients."""
-    return UniPoly([CycNum.from_rational(c) for c in cyclotomic_int_coeffs(L)])
 
 
 def poly_ext_gcd(p: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:

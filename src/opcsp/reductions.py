@@ -236,9 +236,6 @@ class UnaryMap:
     def __call__(self, k: int) -> int:
         return self.table[k]
 
-    def image(self) -> tuple:
-        return tuple(sorted(set(self.table)))
-
     def is_injective(self) -> bool:
         return len(set(self.table)) == self.d_from
 

@@ -14,7 +14,7 @@ from opcsp.csp_core import (
     search_space_size,
     validate_assignment,
 )
-from opcsp.cyclotomic import embed
+from opcsp.cyclotomic import CycNum, UniPoly, cyclotomic_int_coeffs, embed
 from opcsp.fourier import root_product
 from opcsp.gap_instances import horn_language, shift_language, two_clause_language
 
@@ -159,3 +159,8 @@ def reference_collapse_check(d: int, collapse) -> CheckResult:
     if frozenset() not in established:
         return CheckResult(False, ("collapse",), "script never reaches the empty product")
     return CheckResult(True)
+
+
+def cyclotomic_polynomial(L: int) -> UniPoly:
+    """Phi_L as a UniPoly with rational coefficients."""
+    return UniPoly([CycNum.from_rational(c) for c in cyclotomic_int_coeffs(L)])

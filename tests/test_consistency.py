@@ -48,13 +48,22 @@ def test_linear_ac_pin_only_no_constraints():
     assert result.domains == {"a": frozenset({1}), "b": frozenset({0, 1})}
 
 
+def test_linear_ac_rejects_bad_pin():
+    inst = make_instance(2, ["a", "b"], [], {"r": [(0,)]})
+    with pytest.raises(ValueError, match="unknown pinned variable"):
+        linear_ac(inst, pin=("c", 0))
+    for value in (7, 2, -1):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            linear_ac(inst, pin=("b", value))
+
+
 def test_linear_ac_accepts_plain_set_domains():
     inst = implication_chain_instance()
     as_sets = {v: set(vals) for v, vals in full_domains(inst).items()}
     for pin in (("x", 0), ("x", 1), ("y", 0)):
         given, default = linear_ac(inst, as_sets, pin=pin), linear_ac(inst, pin=pin)
         assert (given.consistent, given.domains) == (default.consistent, default.domains)
-        assert given.store.facts == default.store.facts
+        assert list(given.store.items()) == list(default.store.items())
 
 
 def test_linear_ac_magic_square_pin_keeps_full_domains():
@@ -136,11 +145,12 @@ def test_extract_chain_axiom_and_errors():
     inst = implication_chain_instance()
     result = linear_ac(inst, pin=("x", 0))
     assert result.consistent
-    axiom = result.store.get("x", {0})
+    axiom = ("x", frozenset({0}))
+    assert result.store[axiom] is None
     chain = extract_chain(result.store, axiom)
-    assert chain.steps == ()
+    assert (chain.var, chain.value, chain.steps) == ("x", 0, ())
     with pytest.raises(KeyError):
-        extract_chain(result.store, 10 ** 6)
+        extract_chain(result.store, ("x", frozenset({1})))
 
 
 def test_full_ac_prunes_at_least_as_much_as_linear():

@@ -10,11 +10,12 @@ from opcsp.cyclotomic import (
     CycNum,
     UniPoly,
     cyclotomic_int_coeffs,
-    cyclotomic_polynomial,
     embed,
     phi_degree,
     poly_ext_gcd,
 )
+
+from helpers import cyclotomic_polynomial
 
 
 # --- independent oracle: long division over Q on plain coefficient lists ---

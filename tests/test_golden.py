@@ -4,14 +4,20 @@ The SHA-256 digests below were taken from the SLAC trace JSON and the
 certificate JSON of three small corpora while `Relation.projections` was
 still a plain tuple scan; any change to the propagation engine, the
 chain extraction or the certificate encoding that alters a single byte of
-those outputs fails here.  `tools/chain_outputs.py` is the wider gate (more
-corpora, field and DFT outputs, checker texts) and is run by hand.
+those outputs fails here.  A second digest covers every probe that `slac`
+makes on `bounded_width_corpus(1234, 200)`, consistent ones included: its
+verdict and its facts in derivation order; it was taken while the facts still
+lived in a `FactStore` of provenance-tagged `DerivedFact`s.
+`tools/chain_outputs.py` is the wider gate (more corpora, field and DFT
+outputs, checker texts) and is run by hand.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from opcsp import consistency
 from opcsp.certificates import build_certificate
 from opcsp.consistency import slac, slac_result_to_json
 from opcsp.gap_instances import linear_system_instance, magic_square, parse_linear_system
@@ -32,6 +38,8 @@ GOLDEN = {
     "z3": "c7aa6232193823775e438c6d1bd5976eef80e27b54cdb037e3a0db108f548e68",
 }
 
+PROBES_GOLDEN = "5f54d08b4cd052021b070aae92ad0579bdcad65da8e78fe62d5393d497e7a1ef"
+
 
 def outputs_digest(instances) -> str:
     """SHA-256 over each instance's SLAC trace and, when SLAC refutes it,
@@ -49,3 +57,21 @@ def outputs_digest(instances) -> str:
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_outputs_match_golden_digests(corpus):
     assert outputs_digest(CORPORA[corpus]()) == GOLDEN[corpus]
+
+
+def test_probe_facts_match_golden_digest(monkeypatch):
+    """SHA-256 over one JSON line per `linear_ac` probe that `slac` makes:
+    the verdict and the ordered `(var, sorted values)` fact list."""
+    h = hashlib.sha256()
+    probe = consistency.linear_ac
+
+    def recorded(*args, **kwargs):
+        result = probe(*args, **kwargs)
+        facts = [[var, sorted(values)] for var, values in result.store]
+        h.update(json.dumps([result.consistent, facts]).encode("utf-8") + b"\n")
+        return result
+
+    monkeypatch.setattr(consistency, "linear_ac", recorded)
+    for inst in bounded_width_corpus(1234, 200):
+        slac(inst)
+    assert h.hexdigest() == PROBES_GOLDEN

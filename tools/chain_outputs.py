@@ -1,5 +1,5 @@
-"""Print one line per refutation-chain, inverse-DFT and field-arithmetic
-output, for comparing two commits.
+"""Print one line per refutation-chain, propagation-probe, inverse-DFT and
+field-arithmetic output, for comparing two commits.
 
 Covers, as SHA-256 digests:
 
@@ -20,6 +20,11 @@ Covers, as SHA-256 digests:
   `core_instance` apply on the magic square and instances derived from it,
   the mapped instance documents, and the JSON of the Pauli assignment carried
   through each transport.
+
+It also prints, in plain text, each `linear_ac` probe that `slac` makes on the
+bounded-width corpora: its verdict and its fact count, `len(result.store)`,
+so that the fact count of every probe is compared, consistent ones included,
+not only the facts on refutation chains.
 
 Then it prints the `check_certificate` verdict, as `CheckResult.describe()`
 text, of every single-entry mutation (`helpers.collapse_mutations`) of the
@@ -50,7 +55,7 @@ from itertools import product
 import pytest
 
 import opcsp
-from opcsp import certificates, reductions
+from opcsp import certificates, consistency, reductions
 from opcsp.certificates import build_certificate, check_certificate
 from opcsp.consistency import slac, slac_result_to_json
 from opcsp.csp_core import Relation, serialize_instance
@@ -89,10 +94,26 @@ def corpus():
 
 
 def emit_outputs():
+    probe = consistency.linear_ac
+    probes = []
+
+    def recorded(*args, **kwargs):
+        result = probe(*args, **kwargs)
+        probes.append((result.consistent, len(result.store)))
+        return result
+
     for label, inst in corpus():
-        result = slac(inst)
+        probes.clear()
+        consistency.linear_ac = recorded
+        try:
+            result = slac(inst)
+        finally:
+            consistency.linear_ac = probe
         cert = "-" if result.consistent else digest(build_certificate(inst, result).to_json())
         print(f"{label} slac={digest(slac_result_to_json(result))} cert={cert}")
+        if label.startswith("bw"):
+            for j, (consistent, facts) in enumerate(probes):
+                print(f"{label} probe#{j} consistent={consistent} facts={facts}")
 
 
 def dft_relations():
