@@ -1,101 +1,1 @@
 """Toolkit for classical and operator satisfiability of CSPs over roots-of-unity domains."""
-
-from .certificates import GapCertificate, build_certificate, check_certificate
-from .consistency import SlacResult, linear_ac, slac
-from .csp_core import (
-    Instance,
-    Language,
-    Relation,
-    brute_force_solve,
-    load_instance,
-    serialize_instance,
-    validate_assignment,
-)
-from .cyclotomic import CycNum, UniPoly, embed, poly_ext_gcd
-from .fourier import (
-    MultiPoly,
-    dom_gap_inverse,
-    dom_polynomial,
-    relation_polynomial,
-    rule_polynomial,
-)
-from .gap_instances import LinearSystem, linear_system_instance, magic_square, pauli_fixture
-from .operators import (
-    OperatorAssignment,
-    apply_unipoly_matrix,
-    check_normal_order,
-    embed_classical,
-    eval_multipoly_matrix,
-    operator_implication_probe,
-    simultaneous_diagonalize,
-    verify_assignment,
-)
-from .reductions import (
-    Congruence,
-    PPAtom,
-    PPFormula,
-    UnaryMap,
-    add_commutativity_gadget,
-    collapse_equalities,
-    constants_reduction,
-    core,
-    endomorphism_relation,
-    endomorphisms,
-    factor_transport,
-    gadgetize,
-    interpolate_map,
-    pp_evaluate,
-    restrict_transport,
-)
-
-__all__ = [
-    "GapCertificate",
-    "build_certificate",
-    "check_certificate",
-    "SlacResult",
-    "linear_ac",
-    "slac",
-    "Instance",
-    "Language",
-    "Relation",
-    "brute_force_solve",
-    "load_instance",
-    "serialize_instance",
-    "validate_assignment",
-    "CycNum",
-    "UniPoly",
-    "embed",
-    "poly_ext_gcd",
-    "MultiPoly",
-    "dom_gap_inverse",
-    "dom_polynomial",
-    "relation_polynomial",
-    "rule_polynomial",
-    "LinearSystem",
-    "linear_system_instance",
-    "magic_square",
-    "pauli_fixture",
-    "OperatorAssignment",
-    "apply_unipoly_matrix",
-    "check_normal_order",
-    "embed_classical",
-    "eval_multipoly_matrix",
-    "operator_implication_probe",
-    "simultaneous_diagonalize",
-    "verify_assignment",
-    "Congruence",
-    "PPAtom",
-    "PPFormula",
-    "UnaryMap",
-    "add_commutativity_gadget",
-    "collapse_equalities",
-    "constants_reduction",
-    "core",
-    "endomorphism_relation",
-    "endomorphisms",
-    "factor_transport",
-    "gadgetize",
-    "interpolate_map",
-    "pp_evaluate",
-    "restrict_transport",
-]

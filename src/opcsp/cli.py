@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
-from . import certificates, consistency, csp_core, gap_instances, operators, reductions
+from . import certificates, consistency, csp_core, gap_instances
 from .fourier import relation_polynomial
 
 
@@ -34,6 +35,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """The type of --tol: a finite float >= 0.  An infinite bound would pass
+    every assignment and a NaN or negative one would fail every assignment."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="opcsp", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized internals")
@@ -49,7 +62,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-ops", help="verify an operator assignment")
     p.add_argument("instance")
     p.add_argument("ops")
-    p.add_argument("--tol", type=float, default=operators.DEFAULT_TOL)
+    p.add_argument(
+        "--tol", type=_tolerance, help="bound on every residual (default: operators.DEFAULT_TOL)"
+    )
 
     p = sub.add_parser("audit", help="emit or check a no-operator-assignment certificate")
     p.add_argument("instance")
@@ -148,9 +163,12 @@ def _cmd_slac(args) -> int:
 
 
 def _cmd_verify_ops(args) -> int:
+    from . import operators
+
     inst = _load_instance(args.instance)
     assignment = operators.operator_assignment_from_json(_read(args.ops))
-    report = operators.verify_assignment(inst, assignment, tol=args.tol)
+    tol = operators.DEFAULT_TOL if args.tol is None else args.tol
+    report = operators.verify_assignment(inst, assignment, tol=tol)
     for line in report.lines():
         print(line)
     return 0 if report.verdict == "SATISFYING" else 1
@@ -200,6 +218,8 @@ def _cmd_poly(args) -> int:
 def _transport(args, transport) -> None:
     if not args.transport_ops:
         return
+    from . import operators
+
     src, dst = args.transport_ops
     assignment = operators.operator_assignment_from_json(_read(src))
     carried = transport(assignment)
@@ -207,7 +227,7 @@ def _transport(args, transport) -> None:
         fh.write(operators.operator_assignment_to_json(carried) + "\n")
 
 
-def _reduce_gadget(inst, args):
+def _reduce_gadget(reductions, inst, args):
     formula = reductions.PPFormula.from_obj(json.loads(_read(args.formula)))
     mapped = reductions.gadgetize(inst, formula, args.target)
     return mapped, lambda assignment: reductions.lift_assignment(
@@ -215,26 +235,26 @@ def _reduce_gadget(inst, args):
     )
 
 
-def _reduce_collapse(inst, args):
+def _reduce_collapse(reductions, inst, args):
     mapped = reductions.collapse_equalities(inst)
     return mapped, lambda assignment: reductions.restrict_to(assignment, mapped.variables)
 
 
-def _reduce_commgadget(inst, args):
+def _reduce_commgadget(reductions, inst, args):
     return reductions.add_commutativity_gadget(inst), lambda assignment: assignment
 
 
-def _reduce_constants(inst, args):
+def _reduce_constants(reductions, inst, args):
     mapped = reductions.constants_reduction(inst)
     return mapped, lambda assignment: reductions.extend_with_anchor_scalars(assignment, mapped)
 
 
-def _reduce_restrict(inst, args):
+def _reduce_restrict(reductions, inst, args):
     table = tuple(int(x) for x in args.image.split(","))
     return reductions.restrict_transport(inst, reductions.UnaryMap(inst.d, args.dto, table))
 
 
-def _reduce_factor(inst, args):
+def _reduce_factor(reductions, inst, args):
     classes = tuple(
         frozenset(int(x) for x in part.split(",")) for part in args.classes.split("|")
     )
@@ -242,12 +262,13 @@ def _reduce_factor(inst, args):
     return reductions.factor_transport(inst, theta)
 
 
-# reduction name -> builder of (mapped instance, operator transport)
+# reduction name -> builder(reductions module, instance, args) of
+# (mapped instance, operator transport)
 _REDUCTIONS = {
     "gadget": _reduce_gadget,
     "collapse": _reduce_collapse,
     "commgadget": _reduce_commgadget,
-    "core": lambda inst, args: reductions.core_instance(inst),
+    "core": lambda reductions, inst, args: reductions.core_instance(inst),
     "constants": _reduce_constants,
     "restrict": _reduce_restrict,
     "factor": _reduce_factor,
@@ -255,8 +276,10 @@ _REDUCTIONS = {
 
 
 def _cmd_reduce(args) -> int:
+    from . import reductions
+
     inst = _load_instance(args.instance)
-    mapped, transport = _REDUCTIONS[args.reduction](inst, args)
+    mapped, transport = _REDUCTIONS[args.reduction](reductions, inst, args)
     _emit(csp_core.serialize_instance(mapped), args.out)
     _transport(args, transport)
     return 0

@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from .csp_core import Relation
 from .cyclotomic import ONE, ZERO, CycNum, UniPoly, embed, poly_ext_gcd
 
@@ -145,14 +143,17 @@ def default_vars(r: int) -> tuple:
     return tuple(f"x{i}" for i in range(r))
 
 
-def circle_idft(table, n: int, r: int, order: int) -> np.ndarray:
+def circle_idft(table, n: int, r: int, order: int):
     """Unnormalized inverse DFT on (Z_n)^r over Z[x]/(x^order - 1), n | order.
 
     `table` maps points a to integer vectors read as sum_i c_i zeta_order^i
-    (zero-padded; absent points are zero).  Returns the exact array `hat` of
-    shape (n,)*r + (order,) with hat[b] = sum_a table[a] zeta_n^(-a.b), one
-    axis at a time; a power of zeta_order is a cyclic shift of a vector.
+    (zero-padded; absent points are zero).  Returns the exact numpy array
+    `hat` of shape (n,)*r + (order,) with hat[b] = sum_a table[a]
+    zeta_n^(-a.b), one axis at a time; a power of zeta_order is a cyclic
+    shift of a vector.
     """
+    import numpy as np
+
     step = order // n
     hat = np.zeros((n,) * r + (order,), dtype=object)  # Python ints: exact
     for a, vec in table.items():

@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .csp_core import Instance, Language, Relation, make_instance
 
 
@@ -43,6 +41,8 @@ def magic_square() -> Instance:
 def pauli_fixture() -> dict:
     """Dimension-4 operator assignment for the magic square built from Pauli
     tensor products.  Returned as a plain dict variable -> 4x4 complex array."""
+    import numpy as np
+
     I2 = np.eye(2, dtype=complex)
     X = np.array([[0, 1], [1, 0]], dtype=complex)
     Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

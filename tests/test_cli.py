@@ -89,6 +89,15 @@ def test_verify_ops_violating(magic_path, tmp_path):
     assert "verdict: VIOLATING" in result.stdout
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_ops_rejects_meaningless_tol(magic_path, pauli_path, tol):
+    # inf would pass every assignment, nan or a negative bound fail every one
+    result = dispatch(["verify-ops", magic_path, pauli_path, "--tol", tol])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: argument --tol:")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
 def test_verify_ops_non_finite_entry_violating(magic_path, tmp_path, entry):
@@ -410,3 +419,36 @@ def test_module_entry_point():
     assert run.returncode == 0, run.stderr
     assert run.stdout == serialize_instance(magic_square()) + "\n"
 
+
+
+COLD_PATH_SCRIPT = """
+import sys
+from opcsp.cli import dispatch
+
+conflict, magic, pauli, work = sys.argv[1:]
+for argv, code in [
+    (["gen", "magic-square", "--out", f"{work}/gen.inst"], 0),
+    (["solve", conflict], 1),
+    (["slac", conflict, "--trace", f"{work}/trace.json"], 1),
+    (["audit", conflict, "--out", f"{work}/cert.json"], 0),
+    (["audit", conflict, "--check", f"{work}/cert.json"], 0),
+    (["audit", conflict, "--trace", f"{work}/trace.json"], 0),
+]:
+    result = dispatch(argv)
+    assert result.exit_code == code, (argv, result)
+assert "numpy" not in sys.modules, "a command without matrix work loaded numpy"
+result = dispatch(["verify-ops", magic, pauli])
+assert result.exit_code == 0 and "verdict: SATISFYING" in result.stdout, result
+"""
+
+
+def test_commands_without_matrix_work_leave_numpy_unloaded(tmp_path, magic_path, pauli_path):
+    """gen, solve, slac and audit run in a fresh process without importing
+    numpy; verify-ops, which does matrix work, still runs there afterwards."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    args = [unsat_two_unary(tmp_path), magic_path, pauli_path, str(tmp_path)]
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_PATH_SCRIPT, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert run.returncode == 0, run.stderr

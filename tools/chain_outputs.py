@@ -54,7 +54,6 @@ from itertools import product
 
 import pytest
 
-import opcsp
 from opcsp import certificates, consistency, reductions
 from opcsp.certificates import build_certificate, check_certificate
 from opcsp.consistency import slac, slac_result_to_json
@@ -245,14 +244,14 @@ def emit_collapse_outputs():
 
 
 class RecordChecks:
-    """Wraps check_certificate at its module attributes before the test
+    """Wraps check_certificate at its module attribute before the test
     modules import it, and records every verdict."""
 
     def __init__(self):
         self.original = certificates.check_certificate
         self.current = "?"
         self.lines: list[str] = []
-        certificates.check_certificate = opcsp.check_certificate = self.check
+        certificates.check_certificate = self.check
 
     def check(self, inst, cert):
         verdict = self.original(inst, cert)
