@@ -16,7 +16,7 @@ from opcsp.csp_core import (
 )
 from opcsp.cyclotomic import CycNum, UniPoly, cyclotomic_int_coeffs, embed
 from opcsp.fourier import root_product
-from opcsp.gap_instances import horn_language, shift_language, two_clause_language
+from opcsp.gap_instances import LinearSystem, horn_language, shift_language, two_clause_language
 
 
 def random_language_instance(
@@ -61,6 +61,34 @@ def bounded_width_corpus(seed: int, count: int, max_vars: int = 10):
         nvars = rng.randint(3, max_vars)
         ncons = rng.randint(nvars, 2 * nvars)
         out.append(random_language_instance(rng, lang, nvars, ncons))
+    return out
+
+
+def linear_system_corpus(seed: int, count: int, primes=(2, 3)):
+    """Labelled Z_p systems covering every equation shape of the encoder.
+
+    First every single-equation system x0 + ... + x(k-1) = b for p = 2, 3, 5,
+    k = 0..p+2 and every b; then `count` seeded systems of one to four
+    equations over p drawn from `primes`, with repeated variables
+    (coefficients > 1, some wrapping to 0) and expanded lengths 0..p+2."""
+    out = []
+    for p in (2, 3, 5):
+        for k in range(p + 3):
+            for b in range(p):
+                out.append((f"p={p} k={k} b={b}", LinearSystem(p, ((tuple(range(k)), (1,) * k, b),))))
+    rng = random.Random(seed)
+    for i in range(count):
+        p = rng.choice(primes)
+        nvars = rng.randint(1, 6)
+        equations = []
+        for _ in range(rng.randint(1, 4)):
+            counts: dict[int, int] = {}
+            for _ in range(rng.randint(0, p + 2)):
+                v = rng.randrange(nvars)
+                counts[v] = counts.get(v, 0) + 1
+            vs = tuple(sorted(counts))
+            equations.append((vs, tuple(counts[v] for v in vs), rng.randrange(p)))
+        out.append((f"seeded#{i} p={p}", LinearSystem(p, tuple(equations))))
     return out
 
 

@@ -56,6 +56,16 @@ def test_solve_satisfiable(tmp_path):
     assert "x = 0" in result.stdout
 
 
+def test_solve_variable_free_instance(tmp_path):
+    inst = make_instance(2, [], [], {"neq": [(0, 1), (1, 0)]})
+    path = tmp_path / "empty.inst"
+    path.write_text(serialize_instance(inst))
+    result = dispatch(["solve", str(path)])
+    assert result.exit_code == 0
+    assert result.stdout == "SAT\n"
+    assert result.stderr == ""
+
+
 def test_slac_magic_square(magic_path, tmp_path):
     trace = tmp_path / "trace.json"
     result = dispatch(["slac", magic_path, "--trace", str(trace)])

@@ -45,6 +45,11 @@ def test_empty_constraint_list_is_vacuously_satisfiable():
     assert validate_assignment(inst, {"a": 1, "b": 1})
 
 
+def test_variable_free_instance_is_satisfied_by_the_empty_assignment():
+    inst = make_instance(2, [], [], {"neq": [(0, 1), (1, 0)]})
+    assert brute_force_solve(inst) == {}
+
+
 def test_load_rejects_bad_documents():
     with pytest.raises(InstanceFormatError, match="malformed"):
         load_instance("not json {")

@@ -197,6 +197,19 @@ def test_phi_degree_matches_totient():
         assert phi_degree(L) == t
 
 
+def test_first_cyclotomic_polynomial_is_x_minus_one():
+    assert cyclotomic_int_coeffs(1) == (-1, 1)
+    assert phi_degree(1) == 1
+
+
+def test_product_with_zero_polynomial_is_zero():
+    p = UniPoly([embed(1, 3), 2, Fraction(1, 2)])
+    for product_ in (UniPoly() * p, p * UniPoly(), UniPoly() * UniPoly()):
+        assert product_.is_zero()
+        assert product_ == UniPoly()
+        assert product_.degree == -1
+
+
 def test_serialization_round_trip():
     vals = [embed(2, 5) + CycNum.from_rational(Fraction(3, 7)), CycNum.zero(), embed(1, 8)]
     for v in vals:

@@ -124,6 +124,13 @@ def test_dom_polynomial_membership_all_d_up_to_six():
                 assert (dom.eval(embed(k, d)) == 1) == (k in S)
 
 
+def test_dom_polynomial_rejects_elements_outside_the_domain():
+    with pytest.raises(ValueError, match=r"^set element 5 outside 0\.\.2$"):
+        dom_polynomial({0, 5}, 3)
+    with pytest.raises(ValueError, match=r"^set element -1 outside 0\.\.2$"):
+        dom_polynomial({-1, 5}, 3)
+
+
 def test_rule_polynomial_vanishes_for_sound_rules():
     rng = random.Random(5)
     for d in (2, 3):

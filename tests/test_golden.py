@@ -7,7 +7,11 @@ chain extraction or the certificate encoding that alters a single byte of
 those outputs fails here.  A second digest covers every probe that `slac`
 makes on `bounded_width_corpus(1234, 200)`, consistent ones included: its
 verdict and its facts in derivation order; it was taken while the facts still
-lived in a `FactStore` of provenance-tagged `DerivedFact`s.
+lived in a `FactStore` of provenance-tagged `DerivedFact`s.  A third digest
+covers the instance documents that `linear_system_instance` writes for
+`helpers.linear_system_corpus(10, 30)`: every single-equation shape over
+Z_2, Z_3 and Z_5 and a seeded batch of multi-equation systems; it was taken
+while the encoder still had one branch per equation length.
 `tools/chain_outputs.py` is the wider gate (more corpora, field and DFT
 outputs, checker texts) and is run by hand.
 """
@@ -20,9 +24,10 @@ import pytest
 from opcsp import consistency
 from opcsp.certificates import build_certificate
 from opcsp.consistency import slac, slac_result_to_json
+from opcsp.csp_core import serialize_instance
 from opcsp.gap_instances import linear_system_instance, magic_square, parse_linear_system
 
-from helpers import bounded_width_corpus
+from helpers import bounded_width_corpus, linear_system_corpus
 
 Z3_SYSTEM = "x0 + x1 + x2 = 1\nx1 + x2 + x3 + x4 = 2\nx0 + x4 = 1\n"
 
@@ -39,6 +44,8 @@ GOLDEN = {
 }
 
 PROBES_GOLDEN = "5f54d08b4cd052021b070aae92ad0579bdcad65da8e78fe62d5393d497e7a1ef"
+
+LINEAR_DOCUMENTS_GOLDEN = "e91ed496b1034c560d211931db83551cf395a9256e2fe7c5e4dd5bedf4537846"
 
 
 def outputs_digest(instances) -> str:
@@ -75,3 +82,14 @@ def test_probe_facts_match_golden_digest(monkeypatch):
     for inst in bounded_width_corpus(1234, 200):
         slac(inst)
     assert h.hexdigest() == PROBES_GOLDEN
+
+
+def test_linear_system_documents_match_golden_digest():
+    """SHA-256 over the NUL-terminated instance documents of 98 systems
+    (68 single-equation, 30 seeded)."""
+    h = hashlib.sha256()
+    systems = linear_system_corpus(10, 30)
+    assert len(systems) == 98
+    for _, system in systems:
+        h.update(serialize_instance(linear_system_instance(system)).encode("utf-8") + b"\0")
+    assert h.hexdigest() == LINEAR_DOCUMENTS_GOLDEN

@@ -1,5 +1,6 @@
-"""Print one line per refutation-chain, propagation-probe, inverse-DFT and
-field-arithmetic output, for comparing two commits.
+"""Print one line per refutation-chain, propagation-probe, inverse-DFT,
+field-arithmetic, encoder and diagonalization output, for comparing two
+commits.
 
 Covers, as SHA-256 digests:
 
@@ -16,6 +17,16 @@ Covers, as SHA-256 digests:
   `linear_language(3)` and the magic square and for seeded relations with
   d <= 6 and arity <= 3;
 - `UniPoly.to_obj()` of `indicator_interpolant(S, d)` for every S with d <= 6;
+- `UniPoly.to_obj()` of `dom_polynomial(S, d)` for every S with d <= 7;
+- `serialize_instance(linear_system_instance(system))` for the systems of
+  `helpers.linear_system_corpus(10, 30)` (the golden test's set) and for 30
+  more seeded systems over Z_2, Z_3 and Z_5;
+- the bytes of the unitary and of every diagonal that
+  `simultaneous_diagonalize` returns, with seeds 0 and 5, for the Pauli
+  fixture's commuting triples (each constraint scope of the magic square),
+  their conjugates by three seeded random unitaries, and the `embed_classical`
+  assignments of all solutions of a Z_2 and a Z_3 system, plain and
+  conjugated;
 - the interpolants that `restrict_transport`, `factor_transport` and
   `core_instance` apply on the magic square and instances derived from it,
   the mapped instance documents, and the JSON of the Pauli assignment carried
@@ -38,7 +49,7 @@ script runs on both sides of such a change:
     cd <checkout> && PYTHONPATH=src:tests python tools/chain_outputs.py > out.txt
     diff <old checkout>/out.txt <new checkout>/out.txt
 
-Takes about five to ten seconds.
+Takes about ten to twenty seconds.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from opcsp import certificates, consistency, reductions
@@ -59,7 +71,12 @@ from opcsp.certificates import build_certificate, check_certificate
 from opcsp.consistency import slac, slac_result_to_json
 from opcsp.csp_core import Relation, serialize_instance
 from opcsp.cyclotomic import CycNum, UniPoly, embed, poly_ext_gcd
-from opcsp.fourier import dom_difference_inverse, dom_gap_inverse, relation_polynomial
+from opcsp.fourier import (
+    dom_difference_inverse,
+    dom_gap_inverse,
+    dom_polynomial,
+    relation_polynomial,
+)
 from opcsp.gap_instances import (
     linear_language,
     linear_system_instance,
@@ -67,10 +84,21 @@ from opcsp.gap_instances import (
     parse_linear_system,
     pauli_fixture,
 )
-from opcsp.operators import OperatorAssignment, operator_assignment_to_json
+from opcsp.operators import (
+    OperatorAssignment,
+    embed_classical,
+    operator_assignment_to_json,
+    random_unitary,
+    simultaneous_diagonalize,
+)
 from opcsp.reductions import Congruence, UnaryMap, indicator_interpolant
 
-from helpers import bounded_width_corpus, collapse_mutations, minimal_conflict_instance
+from helpers import (
+    bounded_width_corpus,
+    collapse_mutations,
+    linear_system_corpus,
+    minimal_conflict_instance,
+)
 
 SYSTEMS = {
     "z3": (3, "x0 + x1 + x2 = 1\nx1 + x2 + x3 + x4 = 2\nx0 + x4 = 1\n"),
@@ -234,6 +262,61 @@ def emit_field_outputs():
             print(f"witness d={d} S={members} {digest(json.dumps(objs))}")
 
 
+def emit_encoder_outputs():
+    for d in range(1, 8):
+        for mask in range(2 ** d):
+            members = [k for k in range(d) if mask >> k & 1]
+            print(f"dom d={d} S={members} {digest(json.dumps(dom_polynomial(members, d).to_obj()))}")
+    extra = [
+        (label, system)
+        for label, system in linear_system_corpus(11, 30, primes=(2, 3, 5))
+        if label.startswith("seeded")
+    ]
+    for label, system in linear_system_corpus(10, 30) + [(f"extra {l}", s) for l, s in extra]:
+        doc = serialize_instance(linear_system_instance(system))
+        print(f"linsys {label} {digest(doc)}")
+
+
+def classical_solutions(p: int, text: str) -> list[dict]:
+    """Every solution of a small Z_p system, by enumeration."""
+    system = parse_linear_system(text, p)
+    out = []
+    for values in product(range(p), repeat=system.num_variables()):
+        if all(
+            sum(c * values[v] for v, c in zip(vs, cs)) % p == rhs
+            for vs, cs, rhs in system.equations
+        ):
+            out.append({f"x{i}": a for i, a in enumerate(values)})
+    return out
+
+
+def diagonalization_families():
+    pauli = pauli_fixture()
+    triples = [[pauli[v] for v in c.scope] for c in magic_square().constraints]
+    for ci, mats in enumerate(triples):
+        yield f"pauli#{ci}", mats
+        for s in (1, 2, 3):
+            V = random_unitary(4, np.random.default_rng(s))
+            yield f"pauli#{ci} conj{s}", [V @ M @ V.conj().T for M in mats]
+    for p, text in ((2, "x0 + x1 + x2 = 1\nx3 + x4 = 1\n"), (3, SYSTEMS["z3"][1])):
+        assignment = embed_classical(classical_solutions(p, text), p)
+        mats = [assignment[v] for v in sorted(assignment.assign)]
+        yield f"classical p={p}", mats
+        for s in (1, 2, 3):
+            V = random_unitary(assignment.dim, np.random.default_rng(s))
+            yield f"classical p={p} conj{s}", [V @ M @ V.conj().T for M in mats]
+
+
+def emit_diagonalize_outputs():
+    for label, mats in diagonalization_families():
+        for seed in (0, 5):
+            U, diags = simultaneous_diagonalize(mats, seed=seed)
+            h = hashlib.sha256(U.tobytes())
+            for D in diags:
+                h.update(D.tobytes())
+            print(f"diag {label} seed={seed} {h.hexdigest()[:16]}")
+
+
 def emit_collapse_outputs():
     for d in range(2, 7):
         inst = minimal_conflict_instance(d)
@@ -266,6 +349,8 @@ def main() -> int:
     emit_outputs()
     emit_dft_outputs()
     emit_field_outputs()
+    emit_encoder_outputs()
+    emit_diagonalize_outputs()
     emit_collapse_outputs()
     recorder = RecordChecks()
     with redirect_stdout(sys.stderr):  # keep pytest's report, with its timings, off stdout
