@@ -291,7 +291,10 @@ class CycNum:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CycNum":
-        return cls(int(obj["order"]), [Fraction(int(n), int(d)) for n, d in obj["coeffs"]])
+        pairs = [(int(n), int(d)) for n, d in obj["coeffs"]]
+        if any(d == 0 for _, d in pairs):
+            raise ValueError("coefficient denominator is zero")
+        return cls(int(obj["order"]), [Fraction(n, d) for n, d in pairs])
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -171,6 +171,44 @@ def test_audit_check_rejects_witness_order_not_dividing_d(tmp_path):
     assert result.stdout == ""
 
 
+def test_audit_check_rejects_zero_denominator(tmp_path):
+    """A witness coefficient with denominator 0 is an input error (exit 2 with
+    `error:`), not a ZeroDivisionError traceback."""
+    shift = [(k, (k + 1) % 3) for k in range(3)]
+    inst = make_instance(
+        3, ["x", "y"], [(("x", "y"), "shift1"), (("y", "x"), "shift1")], {"shift1": shift}
+    )
+    path = tmp_path / "cycle.inst"
+    path.write_text(serialize_instance(inst))
+    cert_path = tmp_path / "cycle.cert"
+    assert dispatch(["audit", str(path), "--out", str(cert_path)]).exit_code == 0
+    doc = json.loads(cert_path.read_text())
+    witness = next(st for sec in doc["sections"] for st in sec["steps"] if "q" in st)
+    witness["c"]["coeffs"] = [[1, 0]]
+    cert_path.write_text(json.dumps(doc))
+    result = dispatch(["audit", str(path), "--check", str(cert_path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "denominator" in result.stderr
+    assert result.stdout == ""
+
+
+def test_audit_trace_rejects_zero_denominator(tmp_path):
+    path = unsat_two_unary(tmp_path)
+    trace = tmp_path / "trace.json"
+    assert dispatch(["slac", path, "--trace", str(trace)]).exit_code == 1
+    doc = json.loads(trace.read_text())
+    step = doc["chains"][0]["chain"]["steps"][0]
+    step["q"] = {"coeffs": [{"order": 1, "coeffs": [[1, 1]]}]}
+    step["c"] = {"order": 1, "coeffs": [[1, 0]]}
+    trace.write_text(json.dumps(doc))
+    result = dispatch(["audit", path, "--trace", str(trace)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert "denominator" in result.stderr
+    assert result.stdout == ""
+
+
 def test_audit_trace_that_does_not_replay(tmp_path):
     """A trace whose chain cites the wrong constraint is an input error (exit
     2 with `error:`), not a traceback or the REJECT code."""

@@ -218,6 +218,13 @@ def test_serialization_round_trip():
     assert UniPoly.from_obj(p.to_obj()) == p
 
 
+def test_from_obj_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="denominator is zero"):
+        CycNum.from_obj({"order": 3, "coeffs": [[1, 2], [1, 0]]})
+    with pytest.raises(ValueError, match="denominator is zero"):
+        UniPoly.from_obj({"coeffs": [{"order": 1, "coeffs": [[0, 0]]}]})
+
+
 def test_field_against_sympy():
     """Differential check of Phi_L, sums, products and inverses against
     sympy's polynomial arithmetic over QQ (an optional test dependency)."""
