@@ -313,15 +313,13 @@ def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
     return CheckResult(True)
 
 
-def certify(inst: Instance, result: SlacResult | None = None):
-    """Convenience: run propagation if needed, build, and self-check.
+def certify(inst: Instance):
+    """Convenience: run propagation, build, and self-check.
 
     Returns (certificate, check result) or raises ValueError when the
     instance is consistent under propagation.
     """
     from .consistency import slac
 
-    if result is None:
-        result = slac(inst)
-    cert = build_certificate(inst, result)
+    cert = build_certificate(inst, slac(inst))
     return cert, check_certificate(inst, cert)

@@ -32,8 +32,8 @@ def full_domains(inst: Instance) -> dict:
     return {v: frozenset(range(inst.d)) for v in inst.variables}
 
 
-def linear_ac(inst: Instance, domains: dict | None = None, pin: tuple | None = None) -> LinearAcResult:
-    """Least fixpoint of single-source rule derivation.
+def linear_ac(inst: Instance, domains: dict | None = None, *, pin: tuple) -> LinearAcResult:
+    """Least fixpoint of single-source rule derivation from `pin = (v, a)`.
 
     From a fact "scope[src] in S" and a constraint, the engine derives
     "scope[tgt] in image", where the image collects the tgt coordinates of
@@ -44,18 +44,14 @@ def linear_ac(inst: Instance, domains: dict | None = None, pin: tuple | None = N
     eff = dict(domains) if domains is not None else full_domains(inst)
     for v in inst.variables:
         eff.setdefault(v, frozenset(range(inst.d)))
-    store: dict = {}
-    queue: list[tuple] = []
-    if pin is not None:
-        v, a = pin
-        if v not in eff:
-            raise ValueError(f"unknown pinned variable {v!r}")
-        if a not in range(inst.d):
-            raise ValueError(f"pinned value {a!r} outside 0..{inst.d - 1}")
-        eff[v] = frozenset({a})
-        store[(v, eff[v])] = None
-        queue.append((v, eff[v]))
-
+    v, a = pin
+    if v not in eff:
+        raise ValueError(f"unknown pinned variable {v!r}")
+    if a not in range(inst.d):
+        raise ValueError(f"pinned value {a!r} outside 0..{inst.d - 1}")
+    eff[v] = frozenset({a})
+    store: dict = {(v, eff[v]): None}
+    queue = [(v, eff[v])]
     for key in queue:  # also visits the keys appended below
         var, values = key
         for ci, src in inst.occurrences.get(var, ()):

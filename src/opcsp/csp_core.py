@@ -291,8 +291,7 @@ def brute_force_solve(inst: Instance) -> dict | None:
     by_depth = [[] for _ in range(n + 1)]
     for c in inst.constraints:
         positions = [index[v] for v in c.scope]
-        depth = max(positions) if positions else 0
-        by_depth[depth].append((positions, inst.relation_of(c).tuples))
+        by_depth[max(positions)].append((positions, inst.relation_of(c).tuples))
     values = [0] * n
 
     def extend(i: int):
@@ -305,8 +304,6 @@ def brute_force_solve(inst: Instance) -> dict | None:
                     return True
         return False
 
-    if n == 0:
-        return {}  # scopes need variables, so a variable-free instance has no constraints
     if extend(0):
         return {v: values[index[v]] for v in inst.variables}
     return None

@@ -51,8 +51,6 @@ def cyclotomic_int_coeffs(L: int) -> tuple[int, ...]:
     """
     if L < 1:
         raise ValueError("order must be a positive integer")
-    if L == 1:
-        return (-1, 1)
     num = [0] * (L + 1)
     num[0], num[L] = -1, 1
     den = [1]
@@ -291,10 +289,9 @@ class CycNum:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CycNum":
-        pairs = [(int(n), int(d)) for n, d in obj["coeffs"]]
-        if any(d == 0 for _, d in pairs):
+        if any(int(d) == 0 for _, d in obj["coeffs"]):
             raise ValueError("coefficient denominator is zero")
-        return cls(int(obj["order"]), [Fraction(n, d) for n, d in pairs])
+        return cls(int(obj["order"]), [Fraction(int(n), int(d)) for n, d in obj["coeffs"]])
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -383,8 +380,6 @@ class UniPoly:
         if isinstance(other, (CycNum, int, Fraction)):
             s = CycNum._coerce(other)
             return UniPoly([c * s for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if not x.is_zero():

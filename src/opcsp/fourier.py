@@ -21,11 +21,11 @@ class MultiPoly:
 
     __slots__ = ("d", "vars", "terms")
 
-    def __init__(self, d: int, variables, terms=None):
+    def __init__(self, d: int, variables, terms):
         self.d = d
         self.vars = tuple(variables)
         clean: dict[tuple, CycNum] = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in terms.items():
             exps = tuple(e % d for e in exps)
             if len(exps) != len(self.vars):
                 raise ValueError("exponent vector length must match variable count")
@@ -194,13 +194,12 @@ def relation_polynomial(rel: Relation, variables=None) -> MultiPoly:
 def dom_polynomial(S, d: int) -> UniPoly:
     """Membership polynomial of S inside U_d: the product of (lambda_k - x)
     over k in S, plus one.  Its value is 1 exactly on the elements of S."""
-    p = UniPoly.constant(1)
-    x = UniPoly.x()
-    for k in sorted(set(S)):
+    S = sorted(set(S))
+    for k in S:
         if not 0 <= k < d:
             raise ValueError(f"set element {k} outside 0..{d - 1}")
-        p = p * (UniPoly.constant(embed(k, d)) - x)
-    return p + UniPoly.constant(1)
+    p = root_product(S, d)
+    return (-p if len(S) % 2 else p) + UniPoly.constant(1)
 
 
 def complement(S, d: int) -> frozenset:

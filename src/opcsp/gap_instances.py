@@ -126,12 +126,14 @@ def linear_language(p: int) -> Language:
 
 
 def linear_system_instance(sys: LinearSystem) -> Instance:
-    """Encode a unit-coefficient linear system as a CSP over the ternary
-    sum relations and the (p+2)-ary zero-sum relation.
+    """Encode a linear system over Z_p as a CSP over the ternary sum
+    relations and the (p+2)-ary zero-sum relation.
 
-    Coefficients c > 1 are rewritten as c repetitions of the variable; an
-    equation whose expanded length exceeds p + 2 is rejected.  Longer-than-3
-    sums are chained through auxiliary variables; the projection of the
+    Coefficients c > 1 become c repetitions of the variable; an equation
+    longer than p + 2 is rejected, an empty one with rhs 0 dropped, and p + 2
+    terms summing to 0 are one `zsum` constraint.  Any other equation is
+    padded to three terms with one variable forced to 0 and folded through
+    auxiliary partial sums into `sum3_*` constraints; the projection of the
     solution set onto the original variables equals the Z_p solution set.
     """
     p = sys.p
@@ -165,34 +167,21 @@ def linear_system_instance(sys: LinearSystem) -> Instance:
             raise ValueError(
                 f"equation expands to {len(occ)} occurrences, above the limit {p + 2}"
             )
-        k = len(occ)
-        if k == 0:
-            if rhs != 0:
-                z = forced_zero()
-                constraints.append(((z, z, z), f"sum3_{rhs}"))
+        if not occ and rhs == 0:
             continue
-        if k == 3:
-            constraints.append((tuple(occ), f"sum3_{rhs}"))
-            continue
-        if k == p + 2 and rhs == 0:
+        if len(occ) == p + 2 and rhs == 0:
             constraints.append((tuple(occ), "zsum"))
             continue
-        if k == 1:
-            z = forced_zero()
-            constraints.append(((occ[0], z, z), f"sum3_{rhs}"))
-            continue
-        if k == 2:
-            z = forced_zero()
-            constraints.append(((occ[0], occ[1], z), f"sum3_{rhs}"))
-            continue
-        # k >= 4: fold a running partial sum c_j = occ_0 + ... + occ_j
+        if len(occ) < 3:
+            occ += [forced_zero()] * (3 - len(occ))
+        # fold a running partial sum c_j = occ_0 + ... + occ_j
         running = occ[0]
-        for i in range(1, k - 2):
+        for i in range(1, len(occ) - 2):
             m, nxt = fresh("m"), fresh("s")
             constraints.append(((running, occ[i], m), "sum3_0"))  # m = -(running + occ_i)
             neg_pair(m, nxt)  # nxt = -m
             running = nxt
-        constraints.append(((running, occ[k - 2], occ[k - 1]), f"sum3_{rhs}"))
+        constraints.append(((running, occ[-2], occ[-1]), f"sum3_{rhs}"))
 
     return make_instance(p, variables, constraints, dict(lang.relations))
 

@@ -265,9 +265,9 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
 def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
     """Common eigenbasis of pairwise commuting normal matrices.
 
-    Returns (U, diags) with U unitary, U A_i U^-1 = diags_i.  First splits on
-    a random real combination of the Hermitian and anti-Hermitian parts, then
-    refines any residual degenerate block against each matrix in turn.
+    Returns (U, diags) with U unitary, U A_i U^-1 = diags_i.  Splits blocks on
+    the eigenvalues of a random real combination of the Hermitian and
+    anti-Hermitian parts, then of each of those parts in turn.
     Raises if the inputs fail commutation or normality beyond tol.
     """
     mats = [_as_matrix(M) for M in mats]
@@ -303,17 +303,11 @@ def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
         basis[:, block_cols] = sub @ W
         return [block_cols[g] for g in _cluster(w, ctol)]
 
-    ctol = max(tol, 1e-12) * max(1.0, fro(mix))
-    new_blocks = []
-    for blk in blocks:
-        new_blocks.extend(split(blk, mix, ctol) if len(blk) > 1 else [blk])
-    blocks = new_blocks
-
-    for H in herms:
-        ctol_h = max(tol, 1e-12) * max(1.0, fro(H))
+    for H in [mix] + herms:
+        ctol = max(tol, 1e-12) * max(1.0, fro(H))
         new_blocks = []
         for blk in blocks:
-            new_blocks.extend(split(blk, H, ctol_h) if len(blk) > 1 else [blk])
+            new_blocks.extend(split(blk, H, ctol) if len(blk) > 1 else [blk])
         blocks = new_blocks
 
     U = basis.conj().T

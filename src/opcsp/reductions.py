@@ -180,7 +180,6 @@ def collapse_equalities(inst: Instance) -> Instance:
         lo, hi = min(ri, rj), max(ri, rj)
         parent[hi] = lo
 
-    has_equality = EQUALITY in inst.language
     for c in inst.constraints:
         if c.rel == EQUALITY:
             union(index[c.scope[0]], index[c.scope[1]])
@@ -192,8 +191,7 @@ def collapse_equalities(inst: Instance) -> Instance:
         if c.rel != EQUALITY
     ]
     rels = dict(inst.language.relations)
-    if has_equality:
-        rels.pop(EQUALITY, None)
+    rels.pop(EQUALITY, None)
     return make_instance(inst.d, variables, constraints, rels)
 
 

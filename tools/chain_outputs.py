@@ -267,12 +267,13 @@ def emit_encoder_outputs():
         for mask in range(2 ** d):
             members = [k for k in range(d) if mask >> k & 1]
             print(f"dom d={d} S={members} {digest(json.dumps(dom_polynomial(members, d).to_obj()))}")
-    extra = [
-        (label, system)
+    systems = linear_system_corpus(10, 30)
+    systems += [
+        (f"extra {label}", system)
         for label, system in linear_system_corpus(11, 30, primes=(2, 3, 5))
         if label.startswith("seeded")
     ]
-    for label, system in linear_system_corpus(10, 30) + [(f"extra {l}", s) for l, s in extra]:
+    for label, system in systems:
         doc = serialize_instance(linear_system_instance(system))
         print(f"linsys {label} {digest(doc)}")
 
