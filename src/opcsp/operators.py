@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import weakref
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .csp_core import Instance
+from .csp_core import Instance, Relation, _positive_int
 from .cyclotomic import UniPoly, embed
 from .fourier import MultiPoly, relation_polynomial
 
@@ -52,8 +54,14 @@ def commutator_norm(A, B) -> float:
 
 def eval_multipoly_matrix(poly: MultiPoly, mats) -> np.ndarray:
     """Evaluate a polynomial at a tuple of (pairwise commuting) matrices."""
+    terms = tuple((exps, coeff.to_complex()) for exps, coeff in poly.terms.items())
+    return _eval_terms(terms, len(poly.vars), mats)
+
+
+def _eval_terms(terms: tuple, arity: int, mats) -> np.ndarray:
+    """Sum of coeff * prod_j mats[j]^exps[j] over (exps, complex coeff) terms."""
     mats = [_as_matrix(M) for M in mats]
-    if len(mats) != len(poly.vars):
+    if len(mats) != arity:
         raise ValueError("matrix tuple length must match variable count")
     if mats:
         n = mats[0].shape[0]
@@ -62,7 +70,7 @@ def eval_multipoly_matrix(poly: MultiPoly, mats) -> np.ndarray:
     else:
         n = 1
     top = [0] * len(mats)
-    for exps in poly.terms:
+    for exps, _ in terms:
         for j, e in enumerate(exps):
             top[j] = max(top[j], e)
     powers = []
@@ -72,8 +80,8 @@ def eval_multipoly_matrix(poly: MultiPoly, mats) -> np.ndarray:
             row.append(row[-1] @ M)
         powers.append(row)
     out = np.zeros((n, n), dtype=complex)
-    for exps, coeff in poly.terms.items():
-        term = np.eye(n, dtype=complex) * coeff.to_complex()
+    for exps, coeff in terms:
+        term = np.eye(n, dtype=complex) * coeff
         for j, e in enumerate(exps):
             if e:
                 term = term @ powers[j][e]
@@ -149,12 +157,42 @@ def operator_assignment_to_json(A: OperatorAssignment) -> str:
     return json.dumps(operator_assignment_to_obj(A), sort_keys=True, indent=1)
 
 
-def operator_assignment_from_obj(obj: dict) -> OperatorAssignment:
-    dim = int(obj["dim"])
+def operator_assignment_from_obj(obj) -> OperatorAssignment:
+    """Read an assignment document: an object with an integer `dim` >= 1 and
+    an `assign` object mapping each variable to `dim` rows of `dim`
+    [re, im] number pairs.  NaN and inf entries are read as they are, for
+    verification to report; any other shape raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("operator document must be an object")
+    dim = obj.get("dim")
+    if not _positive_int(dim):
+        raise ValueError(f"operator document: dim must be an integer >= 1, got {dim!r}")
+    if not isinstance(obj.get("assign"), dict):
+        raise ValueError("operator document: assign must be an object")
     assign = {}
     for v, rows in obj["assign"].items():
+        if not _pair_matrix(rows, dim):
+            raise ValueError(
+                f"operator for {v!r} must be a {dim}x{dim} matrix of [re, im] number pairs"
+            )
         assign[v] = np.array([[complex(re, im) for re, im in row] for row in rows])
     return OperatorAssignment(dim, assign)
+
+
+def _pair_matrix(rows, dim: int) -> bool:
+    """Whether `rows` is `dim` lists of `dim` [re, im] pairs of floats or of
+    ints within the float range (a larger int would overflow in complex())."""
+
+    def sized(x, length: int) -> bool:
+        return isinstance(x, list) and len(x) == length
+
+    def number(y) -> bool:
+        return type(y) is float or (type(y) is int and abs(y) <= sys.float_info.max)
+
+    def pair(x) -> bool:
+        return sized(x, 2) and all(map(number, x))
+
+    return sized(rows, dim) and all(sized(row, dim) and all(map(pair, row)) for row in rows)
 
 
 def operator_assignment_from_json(text: str) -> OperatorAssignment:
@@ -227,18 +265,30 @@ def verify_assignment(inst: Instance, A: OperatorAssignment, tol: float = DEFAUL
             raise KeyError(f"assignment is missing variable {v!r}")
         a, b = check_normal_order(A[v], inst.d)
         report.normality.append((v, a, b))
-    poly_cache: dict[str, MultiPoly] = {}
     for ci, c in enumerate(inst.constraints):
         mats = [A[v] for v in c.scope]
         for i in range(len(c.scope)):
             for j in range(i + 1, len(c.scope)):
                 res = commutator_norm(mats[i], mats[j])
                 report.commutation.append((ci, c.scope[i], c.scope[j], res))
-        if c.rel not in poly_cache:
-            poly_cache[c.rel] = relation_polynomial(inst.language[c.rel])
-        value = eval_multipoly_matrix(poly_cache[c.rel], mats)
+        rel = inst.language[c.rel]
+        value = _eval_terms(_relation_terms(rel), rel.arity, mats)
         report.polynomial.append((ci, fro(value - np.eye(A.dim))))
     return report
+
+
+# Relation -> its relation polynomial as immutable (exponents, complex
+# coefficient) terms; an entry lives as long as its relation.
+_RELATION_TERMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _relation_terms(rel: Relation) -> tuple:
+    terms = _RELATION_TERMS.get(rel)
+    if terms is None:
+        poly = relation_polynomial(rel)
+        terms = tuple((exps, coeff.to_complex()) for exps, coeff in poly.terms.items())
+        _RELATION_TERMS[rel] = terms
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +315,35 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
 def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
     """Common eigenbasis of pairwise commuting normal matrices.
 
-    Returns (U, diags) with U unitary, U A_i U^-1 = diags_i.  Splits blocks on
-    the eigenvalues of a random real combination of the Hermitian and
-    anti-Hermitian parts, then of each of those parts in turn.
-    Raises if the inputs fail commutation or normality beyond tol.
+    Returns (U, diags) with U unitary, U A_i U^-1 = diags_i.  Splits the
+    space into blocks on the eigenvalues of a random real combination of the
+    Hermitian and anti-Hermitian parts; a generic combination already
+    separates distinct joint eigenvalue tuples.  Then tests each block of
+    size > 1 against every input matrix: where U A_i U^-1 restricted to the
+    block is scalar within half the clustering tolerance of A_i's parts, no
+    part can split the block.  Only blocks that fail this test, which happens
+    when the combination's eigenvalues collide, are split further on the
+    eigenvalues of each part in turn.
+    Raises if the inputs fail commutation or normality beyond tol, or hold
+    NaN or inf.
     """
     mats = [_as_matrix(M) for M in mats]
     if not mats:
         raise ValueError("need at least one matrix")
     n = mats[0].shape[0]
-    scale = max(1.0, max(fro(M) for M in mats))
     for i, M in enumerate(mats):
         if M.shape[0] != n:
             raise ValueError("matrices must share one dimension")
-        if fro(M @ M.conj().T - M.conj().T @ M) > tol * scale * scale:
+        if not np.isfinite(M).all():
+            raise ValueError(f"matrix {i} has a NaN or inf entry")
+    scale = max(1.0, max(fro(M) for M in mats))
+    bound = tol * scale * scale
+    for i, M in enumerate(mats):
+        # `not <=`, so that a residual that overflows to NaN fails too
+        if not fro(M @ M.conj().T - M.conj().T @ M) <= bound:
             raise ValueError(f"matrix {i} is not normal within tolerance")
         for j in range(i + 1, len(mats)):
-            if commutator_norm(M, mats[j]) > tol * scale * scale:
+            if not commutator_norm(M, mats[j]) <= bound:
                 raise ValueError(f"matrices {i} and {j} do not commute within tolerance")
 
     herms: list[np.ndarray] = []
@@ -292,29 +354,48 @@ def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
     rng = np.random.default_rng(seed)
     mix = sum(float(c) * H for c, H in zip(rng.standard_normal(len(herms)), herms))
 
+    def ctol(H: np.ndarray) -> float:
+        return max(tol, 1e-12) * max(1.0, fro(H))
+
     basis = np.eye(n, dtype=complex)
-    blocks = [np.arange(n)]
 
-    def split(block_cols: np.ndarray, H: np.ndarray, ctol: float) -> list[np.ndarray]:
-        sub = basis[:, block_cols]
-        B = sub.conj().T @ H @ sub
-        B = (B + B.conj().T) / 2
-        w, W = np.linalg.eigh(B)
-        basis[:, block_cols] = sub @ W
-        return [block_cols[g] for g in _cluster(w, ctol)]
-
-    for H in [mix] + herms:
-        ctol = max(tol, 1e-12) * max(1.0, fro(H))
-        new_blocks = []
+    def refine(blocks: list, H: np.ndarray) -> list:
+        out, tol_h = [], ctol(H)
         for blk in blocks:
-            new_blocks.extend(split(blk, H, ctol) if len(blk) > 1 else [blk])
-        blocks = new_blocks
+            if len(blk) == 1:
+                out.append(blk)
+                continue
+            sub = basis[:, blk]
+            B = sub.conj().T @ H @ sub
+            B = (B + B.conj().T) / 2
+            w, W = np.linalg.eigh(B)
+            basis[:, blk] = sub @ W
+            out.extend(blk[g] for g in _cluster(w, tol_h))
+        return out
 
+    blocks = refine([np.arange(n)], mix)
+    # A_i compressed to a block is C_H + i C_K, the compressions of its parts,
+    # and |C - tr(C)/k I| >= |C_H - tr(C_H)/k I| >= g / sqrt(2) for an
+    # eigenvalue gap g of C_H (likewise C_K).  So within half the smaller part
+    # tolerance, no gap exceeds it, and refining on a part would not split.
     U = basis.conj().T
-    diags = []
-    for M in mats:
-        D = U @ M @ basis
-        diags.append(np.diag(np.diag(D)))
+    diags, failed = [], []
+    pending = [blk for blk in blocks if len(blk) > 1]
+    for M, H, K in zip(mats, herms[0::2], herms[1::2]):
+        half = min(ctol(H), ctol(K)) / 2
+        T = U @ M @ basis
+        scalar = []
+        for blk in pending:
+            C = T[np.ix_(blk, blk)]
+            C[np.diag_indices(len(blk))] -= np.trace(C) / len(blk)
+            (scalar if fro(C) <= half else failed).append(blk)
+        pending = scalar
+        diags.append(np.diag(np.diag(T)))
+    if failed:
+        for H in herms:
+            failed = refine(failed, H)
+        U = basis.conj().T
+        diags = [np.diag(np.diag(U @ M @ basis)) for M in mats]
     return U, diags
 
 

@@ -121,6 +121,33 @@ def test_verify_ops_non_finite_entry_violating(magic_path, tmp_path, entry):
     assert "verdict: VIOLATING" in result.stdout
 
 
+def malformed_ops_documents(pauli_path):
+    """The Pauli document with one field broken, by label."""
+    doc = json.loads(Path(pauli_path).read_text())
+    entry = json.loads(json.dumps(doc))
+    entry["assign"]["x5"][0][0] = 1
+    return {
+        "top level a list": [],
+        "assign a list": {**doc, "assign": []},
+        "dim null": {**doc, "dim": None},
+        "dim true": {**doc, "dim": True},
+        "entry a number": entry,
+    }
+
+
+@pytest.mark.parametrize(
+    "label", ["top level a list", "assign a list", "dim null", "dim true", "entry a number"]
+)
+def test_verify_ops_rejects_malformed_document(magic_path, pauli_path, tmp_path, label):
+    path = tmp_path / "bad.ops"
+    path.write_text(json.dumps(malformed_ops_documents(pauli_path)[label]))
+    result = dispatch(["verify-ops", magic_path, str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: operator ")
+    assert "Traceback" not in result.stderr
+
+
 def test_audit_not_applicable(magic_path):
     result = dispatch(["audit", magic_path])
     assert result.exit_code == 2
@@ -354,6 +381,36 @@ def test_reduce_gadget_transport_cli(tmp_path):
     expanded = load_instance(out_inst.read_text())
     carried = operator_assignment_from_json(ops_out.read_text())
     assert verify_assignment(expanded, carried).verdict == "SATISFYING"
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_reduce_gadget_transport_rejects_non_finite_ops(tmp_path, entry):
+    rels = {"neq": [(0, 1), (1, 0)], "eqd": [(0, 0), (1, 1)]}
+    ipath = tmp_path / "inst.json"
+    ipath.write_text(serialize_instance(make_instance(2, ["a", "b"], [(("a", "b"), "eqd")], rels)))
+    formula = {
+        "arity": 2,
+        "exists": 1,
+        "atoms": [{"rel": "neq", "vars": [0, 2]}, {"rel": "neq", "vars": [2, 1]}],
+    }
+    fpath = tmp_path / "formula.json"
+    fpath.write_text(json.dumps(formula))
+    from opcsp.operators import embed_classical
+
+    assignment = embed_classical([{"a": 0, "b": 0}, {"a": 1, "b": 1}], 2)
+    assignment.assign["b"][1, 1] = entry
+    ops_in = tmp_path / "in.ops"
+    ops_in.write_text(operator_assignment_to_json(assignment))
+    ops_out = tmp_path / "out.ops"
+    result = dispatch(
+        [
+            "reduce", "gadget", str(ipath), "--formula", str(fpath), "--target", "eqd",
+            "--out", str(tmp_path / "out.inst"), "--transport-ops", str(ops_in), str(ops_out),
+        ]
+    )
+    assert result.exit_code == 2
+    assert result.stderr == "error: matrix 1 has a NaN or inf entry\n"
+    assert not ops_out.exists()
 
 
 def test_reduce_core_cli(tmp_path):

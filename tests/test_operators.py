@@ -1,9 +1,13 @@
 """Matrix-side checks: normal order, polynomial evaluation, verification,
 simultaneous diagonalization, and the randomized implication probe."""
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from opcsp import operators
 from opcsp.csp_core import Relation, make_instance
 from opcsp.cyclotomic import CycNum, UniPoly, embed
 from opcsp.fourier import MultiPoly
@@ -15,13 +19,22 @@ from opcsp.operators import (
     eval_multipoly_matrix,
     fro,
     operator_assignment_from_json,
+    operator_assignment_from_obj,
     operator_assignment_to_json,
+    operator_assignment_to_obj,
     operator_implication_probe,
     random_unitary,
     simultaneous_diagonalize,
     verify_assignment,
 )
-from opcsp.gap_instances import magic_square, pauli_fixture
+from opcsp.gap_instances import (
+    linear_system_instance,
+    magic_square,
+    parse_linear_system,
+    pauli_fixture,
+)
+
+from helpers import iter_solutions
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -216,6 +229,70 @@ def test_simultaneous_diagonalize_rejects_non_commuting():
         simultaneous_diagonalize([X, Z])
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_simultaneous_diagonalize_rejects_non_finite(entry):
+    bad = Z.copy()
+    bad[1, 1] = entry
+    with pytest.raises(ValueError, match="matrix 1 has a NaN or inf entry"):
+        simultaneous_diagonalize([Z, bad])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simultaneous_diagonalize_rejects_overflowing_residual():
+    # finite entries whose normality residual overflows to NaN
+    with pytest.raises(ValueError, match="not normal"):
+        simultaneous_diagonalize([1e200 * X])
+
+
+def test_simultaneous_diagonalize_splits_blocks_the_mix_joins():
+    """With seed 0 the mix is sum_k c_k H_k over the parts (H_A, K_A, H_B, K_B),
+    for c = default_rng(0).standard_normal(4).  A = diag(0, c2) and
+    B = diag(0, -c0) are real, so K_A = K_B = 0 and the mix is 0: it leaves
+    one block of size 2, on which A is not scalar.  Conjugating by a random
+    unitary keeps the mix's eigenbasis from diagonalizing A by accident."""
+    c = np.random.default_rng(0).standard_normal(4)
+    V = random_unitary(2, np.random.default_rng(1))
+    plain = [np.diag([0, c[2]]), np.diag([0, -c[0]])]
+    mats = [V @ M @ V.conj().T for M in plain]
+    U, diags = simultaneous_diagonalize(mats, seed=0)
+    assert fro(U @ U.conj().T - I2) <= 1e-12
+    for M, D, P in zip(mats, diags, plain):
+        assert fro(U @ M @ U.conj().T - D) <= 1e-12
+        assert np.allclose(sorted(np.diag(D).real), sorted(np.diag(P)), atol=1e-12)
+
+
+def joint_roots(diags, d: int) -> list:
+    """Per eigenvector, the tuple of root indices k of its diagonal entries."""
+    columns = np.array([np.diag(D) for D in diags]).T
+    return [tuple(int(round(np.angle(z) * d / (2 * np.pi))) % d for z in col) for col in columns]
+
+
+def test_simultaneous_diagonalize_degenerate_embedded_solutions():
+    """Classical solutions drawn with repeats, embedded and conjugated as in
+    the operators benchmark, leave blocks of size > 1 after the mix, which no
+    part can split.  Every joint eigenvalue tuple comes back with the
+    multiplicity of its solution, within tolerance of its roots of unity."""
+    rng = np.random.default_rng(3)
+    inst = linear_system_instance(parse_linear_system("x0 + x1 + x2 = 1\nx2 + x3 = 2\n", 3))
+    solutions = list(iter_solutions(inst))
+    for dim in (6, 24, 64):
+        drawn = [solutions[k] for k in rng.integers(len(solutions), size=dim)]
+        plain = embed_classical(drawn, 3)
+        names = sorted(plain.assign)
+        V = random_unitary(dim, rng)
+        mats = [V @ plain[v] @ V.conj().T for v in names]
+        U, diags = simultaneous_diagonalize(mats, seed=dim)
+        assert fro(U @ U.conj().T - np.eye(dim)) <= 1e-10 * dim
+        for M, D in zip(mats, diags):
+            assert fro(U @ M @ U.conj().T - D) <= 1e-8
+        joint = joint_roots(diags, 3)
+        assert Counter(joint) == Counter(tuple(s[v] for v in names) for s in drawn)
+        assert len(set(joint)) < dim  # some joint eigenspace has dimension > 1
+        for j, point in enumerate(joint):
+            for D, k in zip(diags, point):
+                assert abs(D[j, j] - np.exp(2j * np.pi * k / 3)) <= 1e-8
+
+
 def test_probe_single_variable_implication():
     x2_minus_1 = MultiPoly(2, ("x",), {(0,): -1})  # x^2 - 1 reduces to 1 - 1... build explicitly
     # over d=2 exponents reduce mod 2, so represent x**2 - 1 as the zero map;
@@ -240,6 +317,76 @@ def test_probe_rejects_failing_premise():
     bad = MultiPoly(2, ("x",), {(1,): 1, (0,): 1})  # x + 1, fails at x = 1
     with pytest.raises(ValueError, match="not applicable"):
         operator_implication_probe([prem], bad, trials=5)
+
+
+def test_verify_assignment_computes_each_relation_polynomial_once(monkeypatch):
+    calls = []
+    original = operators.relation_polynomial
+
+    def counting(rel):
+        calls.append(rel)
+        return original(rel)
+
+    monkeypatch.setattr(operators, "relation_polynomial", counting)
+    # a relation no other test builds, so that the cache starts without it
+    rel = Relation(3, 3, frozenset({(0, 1, 2), (2, 1, 0), (2, 0, 1), (2, 2, 2)}))
+    scopes = [(("a", "b", "c"), "r"), (("c", "b", "a"), "r")]
+    inst = make_instance(3, ["a", "b", "c"], scopes, {"r": rel})
+    assignment = embed_classical([{"a": 0, "b": 1, "c": 2}, {"a": 2, "b": 2, "c": 2}], 3)
+    reports = [verify_assignment(inst, assignment).lines() for _ in range(3)]
+    assert len(calls) == 1
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0][-1] == "verdict: SATISFYING"
+
+
+def pauli_document() -> dict:
+    return operator_assignment_to_obj(OperatorAssignment(4, pauli_fixture()))
+
+
+def malformed_documents():
+    """(label, document) for each shape the reader must reject."""
+    yield "top level a list", []
+    doc = pauli_document()
+    for label, dim in (("dim null", None), ("dim true", True), ("dim 1.0", 4.0), ("dim 0", 0)):
+        yield label, {**doc, "dim": dim}
+    yield "assign a list", {**doc, "assign": []}
+    yield "missing assign", {"dim": 4}
+    x5 = doc["assign"]["x5"]
+
+    def first(entry):
+        return [[entry, *x5[0][1:]], *x5[1:]]
+
+    for label, rows in (
+        ("entry a number", first(1)),
+        ("entry a triple", first([1, 0, 0])),
+        ("entry holds a bool", first([True, 0])),
+        ("entry holds a string", first(["1", 0])),
+        ("entry beyond the float range", first([10 ** 400, 0])),
+        ("short row", [x5[0], x5[1][:-1], *x5[2:]]),
+        ("missing row", x5[:-1]),
+        ("matrix an object", {}),
+        ("empty matrix", []),
+    ):
+        yield label, {**doc, "assign": {**doc["assign"], "x5": rows}}
+
+
+MALFORMED = dict(malformed_documents())
+
+
+@pytest.mark.parametrize("label", list(MALFORMED))
+def test_operator_assignment_reader_rejects_malformed_documents(label):
+    document = MALFORMED[label]
+    with pytest.raises(ValueError, match="operator"):
+        operator_assignment_from_obj(document)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_operator_assignment_reader_keeps_non_finite_entries():
+    doc = json.loads(operator_assignment_to_json(OperatorAssignment(4, pauli_fixture())).replace(
+        "1.0", "NaN", 1))
+    assignment = operator_assignment_from_obj(doc)
+    assert np.isnan(assignment.assign[sorted(assignment.assign)[0]]).sum() == 1
+    assert verify_assignment(magic_square(), assignment).verdict == "VIOLATING"
 
 
 def test_operator_assignment_document_round_trip():

@@ -510,3 +510,33 @@ def test_lift_assignment_with_entangled_inputs():
     lifted = lift_assignment(inst, formula, "eqd", expanded, rotated)
     report = verify_assignment(expanded, lifted, tol=1e-8)
     assert report.verdict == "SATISFYING"
+
+
+def test_lift_assignment_depends_only_on_joint_eigenspaces():
+    """Solutions drawn with repeats give each replaced constraint's scope
+    operators joint eigenspaces of dimension > 1, inside which the eigenbasis
+    is arbitrary.  The carried operator of the existential of a -eqd- b is
+    the sum over the joint eigenvalues (a, b) of the witness root (-1)^(1-a)
+    times the projector onto their joint eigenspace."""
+    rng = np.random.default_rng(12)
+    formula = PPFormula(2, 1, (PPAtom("neq", (0, 2)), PPAtom("neq", (2, 1))))
+    scopes = [("a", "b"), ("c", "d")]
+    inst = make_instance(
+        2, ["a", "b", "c", "d"], [(s, "eqd") for s in scopes], dict(neq_language().relations)
+    )
+    solutions = list(iter_solutions(inst))
+    for dim in (8, 32):
+        drawn = [solutions[k] for k in rng.integers(len(solutions), size=dim)]
+        V = random_unitary(dim, rng)
+        rotated = embed_classical(drawn, 2).map(lambda M: V @ M @ V.conj().T)
+        expanded = gadgetize(inst, formula, "eqd")
+        lifted = lift_assignment(inst, formula, "eqd", expanded, rotated, seed=dim)
+        assert verify_assignment(expanded, lifted).verdict == "SATISFYING"
+        for ci, (x, y) in enumerate(scopes):
+            reference = np.zeros((dim, dim), dtype=complex)
+            for point in {(s[x], s[y]) for s in drawn}:
+                slots = [j for j, s in enumerate(drawn) if (s[x], s[y]) == point]
+                assert len(slots) > 1
+                projector = V[:, slots] @ V[:, slots].conj().T
+                reference += (-1) ** (1 - point[0]) * projector
+            assert fro(lifted[f"{x}-g{ci}-t0"] - reference) <= 1e-8

@@ -27,6 +27,13 @@ Covers, as SHA-256 digests:
   their conjugates by three seeded random unitaries, and the `embed_classical`
   assignments of all solutions of a Z_2 and a Z_3 system, plain and
   conjugated;
+- in a form that does not depend on the eigenbasis chosen inside a joint
+  eigenspace, for families with repeated joint eigenvalues (seeded draws with
+  repeats of Z_2 and Z_3 solutions, and the Pauli triples tensored with I_3,
+  all conjugated): the sorted joint eigenvalues, rounded, with their
+  multiplicities; and for an assignment that `lift_assignment` carries across
+  an `eqd` gadget, the carried operators' entries, rounded, and the report
+  lines of `verify_assignment` with residuals below 1e-12 printed as such;
 - the interpolants that `restrict_transport`, `factor_transport` and
   `core_instance` apply on the magic square and instances derived from it,
   the mapped instance documents, and the JSON of the Pauli assignment carried
@@ -57,7 +64,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
@@ -69,7 +78,7 @@ import pytest
 from opcsp import certificates, consistency, reductions
 from opcsp.certificates import build_certificate, check_certificate
 from opcsp.consistency import slac, slac_result_to_json
-from opcsp.csp_core import Relation, serialize_instance
+from opcsp.csp_core import Relation, make_instance, serialize_instance
 from opcsp.cyclotomic import CycNum, UniPoly, embed, poly_ext_gcd
 from opcsp.fourier import (
     dom_difference_inverse,
@@ -90,8 +99,17 @@ from opcsp.operators import (
     operator_assignment_to_json,
     random_unitary,
     simultaneous_diagonalize,
+    verify_assignment,
 )
-from opcsp.reductions import Congruence, UnaryMap, indicator_interpolant
+from opcsp.reductions import (
+    Congruence,
+    PPAtom,
+    PPFormula,
+    UnaryMap,
+    gadgetize,
+    indicator_interpolant,
+    lift_assignment,
+)
 
 from helpers import (
     bounded_width_corpus,
@@ -318,6 +336,65 @@ def emit_diagonalize_outputs():
             print(f"diag {label} seed={seed} {h.hexdigest()[:16]}")
 
 
+def degenerate_families():
+    """Commuting families with repeated joint eigenvalues: embedded classical
+    solutions drawn with repeats and the Pauli triples tensored with an
+    identity, each conjugated by a seeded unitary."""
+    rng = np.random.default_rng(11)
+    for p, text in ((2, "x0 + x1 + x2 = 1\nx3 + x4 = 1\n"), (3, SYSTEMS["z3"][1])):
+        solutions = classical_solutions(p, text)
+        for dim in (12, 40):
+            drawn = [solutions[k] for k in rng.integers(len(solutions), size=dim)]
+            assignment = embed_classical(drawn, p)
+            V = random_unitary(dim, rng)
+            yield f"drawn p={p} dim={dim}", [V @ assignment[v] @ V.conj().T
+                                             for v in sorted(assignment.assign)]
+    pauli = pauli_fixture()
+    for ci, c in enumerate(magic_square().constraints):
+        V = random_unitary(12, rng)
+        yield f"pauli#{ci} x3", [V @ np.kron(pauli[v], np.eye(3)) @ V.conj().T for v in c.scope]
+
+
+def rounded(z: complex) -> str:
+    return f"{round(z.real, 6) + 0.0:.6f}{round(z.imag, 6) + 0.0:+.6f}j"
+
+
+def joint_spectrum(diags) -> list:
+    """(joint eigenvalue tuple, multiplicity) pairs, sorted, with entries
+    rounded to six decimals: the same for every eigenbasis of the family."""
+    columns = np.array([np.diag(D) for D in diags]).T
+    return sorted(Counter(tuple(map(rounded, column)) for column in columns).items())
+
+
+def emit_degenerate_outputs():
+    for label, mats in degenerate_families():
+        for seed in (0, 5):
+            _, diags = simultaneous_diagonalize(mats, seed=seed)
+            print(f"spectrum {label} seed={seed} {joint_spectrum(diags)}")
+    rels = {"neq": [(0, 1), (1, 0)], "eqd": [(0, 0), (1, 1)]}
+    scopes = [("a", "b"), ("c", "d"), ("d", "e")]
+    inst = make_instance(2, list("abcde"), [(s, "eqd") for s in scopes], rels)
+    formula = PPFormula(2, 1, (PPAtom("neq", (0, 2)), PPAtom("neq", (2, 1))))
+    expanded = gadgetize(inst, formula, "eqd")
+    solutions = [dict(zip("abcde", (a, a, c, c, c))) for a in range(2) for c in range(2)]
+    rng = np.random.default_rng(13)
+    for dim in (8, 24):
+        drawn = [solutions[k] for k in rng.integers(len(solutions), size=dim)]
+        V = random_unitary(dim, rng)
+        rotated = embed_classical(drawn, 2).map(lambda M: V @ M @ V.conj().T)
+        lifted = lift_assignment(inst, formula, "eqd", expanded, rotated)
+        # the carried operators depend on the eigenbasis only through the
+        # projectors onto joint eigenspaces; their rounding-level residuals,
+        # and so the worst of them, depend on the basis inside each space
+        entries = {v: [rounded(z) for z in M.flat] for v, M in sorted(lifted.assign.items())}
+        print(f"lift dim={dim} ops={digest(json.dumps(entries))}")
+        for line in verify_assignment(expanded, lifted).lines():
+            line = re.sub(r"\d\.\d{3}e-(1[3-9]|[2-9]\d)", "<1e-12", line)
+            if line.startswith("worst:") and line.endswith("<1e-12"):
+                line = "worst: <1e-12"
+            print(f"lift dim={dim} {line}")
+
+
 def emit_collapse_outputs():
     for d in range(2, 7):
         inst = minimal_conflict_instance(d)
@@ -352,6 +429,7 @@ def main() -> int:
     emit_field_outputs()
     emit_encoder_outputs()
     emit_diagonalize_outputs()
+    emit_degenerate_outputs()
     emit_collapse_outputs()
     recorder = RecordChecks()
     with redirect_stdout(sys.stderr):  # keep pytest's report, with its timings, off stdout
