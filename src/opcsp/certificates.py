@@ -10,10 +10,13 @@ script that shrinks the per-value exclusion products down to the empty
 product, i.e. the contradiction I = 0.
 
 The checker trusts nothing from the builder: it replays every chain image
-against the instance, re-verifies every Bezout identity modulo x^d - 1 with
-exact cyclotomic arithmetic, and re-expands every collapse subtraction.  Within
-one `check_certificate` call it computes each membership difference and each
-root product once per value set; nothing it computes outlives the call.
+against the instance and re-verifies every Bezout identity modulo x^d - 1 with
+exact cyclotomic arithmetic, each membership difference computed once per
+`check_certificate` call.  Its collapse replay is structural: with R(S) the
+product of (x - lambda_k) over k in S, R(S + r1) - R(S + r2) =
+(lambda_r2 - lambda_r1) * R(S) for every S and r1 != r2, a nonzero multiple,
+so an entry only has to consume two established sets (the test suite expands
+the identity for d = 2..6).
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .consistency import RefutationChain, SlacResult
-from .csp_core import Instance, instance_digest
-from .cyclotomic import ZERO, CycNum, UniPoly, embed
-from .fourier import complement, dom_difference_inverse, dom_polynomial, root_product
+from .csp_core import Instance, _int, _list, _object, instance_digest
+from .cyclotomic import ZERO, CycNum, UniPoly
+from .fourier import complement, dom_difference_inverse, dom_polynomial
 
 FORMAT = "gap-certificate/1"
 
@@ -58,22 +61,20 @@ class GapCertificate:
         """Decode a certificate to be checked against an instance with domain
         size d (by default the certificate's own d).  Raises ValueError, before
         any field arithmetic, when a witness coefficient's order is not a
-        positive divisor of d."""
-        if obj.get("format") != FORMAT:
+        positive divisor of d, and a ValueError subclass on a wrong shape."""
+        if _object(obj, "top level").get("format") != FORMAT:
             raise ValueError(f"unsupported certificate format {obj.get('format')!r}")
-        d = int(obj["d"]) if d is None else d
+        cert_d = _int(obj["d"], "d")
+        d = cert_d if d is None else d
         for order in _witness_orders(obj):
             if type(order) is not int or order < 1 or d < 1 or d % order:
                 raise ValueError(f"witness coefficient order {order!r} does not divide d = {d}")
         return cls(
             str(obj["digest"]),
-            int(obj["d"]),
+            cert_d,
             str(obj["variable"]),
             tuple(RefutationChain.from_obj(s) for s in obj["sections"]),
-            tuple(
-                (tuple(int(a) for a in e["base"]), int(e["r1"]), int(e["r2"]))
-                for e in obj["collapse"]
-            ),
+            tuple(map(_collapse_entry, _list(obj["collapse"], "collapse"))),
         )
 
     @classmethod
@@ -82,12 +83,20 @@ class GapCertificate:
 
 
 def _witness_orders(obj: dict):
-    """The `order` of every wire coefficient of the Bezout witnesses."""
-    for sec in obj["sections"]:
-        for st in sec["steps"]:
-            if "q" in st:
-                yield from (c["order"] for c in st["q"]["coeffs"])
-                yield st["c"]["order"]
+    """The `order` of every wire coefficient of the Bezout witnesses, read
+    through the same shape checks as the decoders."""
+    for sec in _list(obj["sections"], "sections"):
+        for st in _list(_object(sec, "a chain")["steps"], "steps"):
+            if "q" in _object(st, "a chain step"):
+                coeffs = _list(_object(st["q"], "q")["coeffs"], "coeffs")
+                yield from (_object(c, "a field element")["order"] for c in coeffs)
+                yield _object(st["c"], "a field element")["order"]
+
+
+def _collapse_entry(e) -> tuple:
+    e = _object(e, "a collapse entry")
+    base = tuple(_int(a, "base") for a in _list(e["base"], "base"))
+    return base, _int(e["r1"], "r1"), _int(e["r2"], "r2")
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +272,8 @@ def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
     Checks, in order: the instance digest; every section with `check_chain`
     under the domains left by the sections before it; that the named
     variable has no value left; and that the collapse script reaches the
-    empty product from the per-value exclusions of that variable.
+    empty product from the per-value exclusions of that variable.  The
+    collapse replay computes no root product (see the module docstring).
     """
     if cert.digest != instance_digest(inst):
         return _reject(("digest",), "certificate was issued for a different instance")
@@ -287,13 +297,6 @@ def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
         )
 
     established = {frozenset(range(d)) - {k} for k in range(d)}
-    products = {}  # value set -> root_product, each computed once
-
-    def product(T: frozenset) -> UniPoly:
-        if T not in products:
-            products[T] = root_product(T, d)
-        return products[T]
-
     for j, (base, r1, r2) in enumerate(cert.collapse):
         loc = ("collapse", j)
         S = frozenset(base)
@@ -303,10 +306,6 @@ def check_certificate(inst: Instance, cert: GapCertificate) -> CheckResult:
             return _reject(loc, "degenerate shrink pair")
         if S | {r1} not in established or S | {r2} not in established:
             return _reject(loc, "references an equation that is not established")
-        lhs = product(S | {r1}) - product(S | {r2})
-        rhs = product(S) * (embed(r2, d) - embed(r1, d))
-        if lhs != rhs:
-            return _reject(loc, "shrink subtraction is not coefficient-exact")
         established.add(S)
     if frozenset() not in established:
         return _reject(("collapse",), "script never reaches the empty product")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .csp_core import Instance
+from .csp_core import Instance, InstanceFormatError, _int, _list, _object
 from .cyclotomic import CycNum, UniPoly
 
 
@@ -101,14 +101,14 @@ class ChainStep:
     @classmethod
     def from_obj(cls, obj: dict) -> "ChainStep":
         inverse = None
-        if "q" in obj:
+        if "q" in _object(obj, "a chain step"):
             inverse = (UniPoly.from_obj(obj["q"]), CycNum.from_obj(obj["c"]))
         return cls(
-            int(obj["constraint"]),
-            int(obj["src_pos"]),
-            int(obj["tgt_pos"]),
+            _int(obj["constraint"], "constraint"),
+            _int(obj["src_pos"], "src_pos"),
+            _int(obj["tgt_pos"], "tgt_pos"),
             str(obj["var"]),
-            tuple(int(a) for a in obj["values"]),
+            tuple(_int(a, "values") for a in _list(obj["values"], "values")),
             inverse,
         )
 
@@ -135,9 +135,9 @@ class RefutationChain:
     @classmethod
     def from_obj(cls, obj: dict) -> "RefutationChain":
         return cls(
-            str(obj["var"]),
-            int(obj["value"]),
-            tuple(ChainStep.from_obj(s) for s in obj["steps"]),
+            str(_object(obj, "a chain")["var"]),
+            _int(obj["value"], "value"),
+            tuple(ChainStep.from_obj(s) for s in _list(obj["steps"], "steps")),
         )
 
 
@@ -207,9 +207,16 @@ def slac_result_to_json(result: SlacResult) -> str:
 
 
 def slac_result_from_json(text: str) -> SlacResult:
-    obj = json.loads(text)
+    """Read a trace document; raises ValueError on a wrong shape."""
+    obj = _object(json.loads(text), "top level")
     chains = {}
-    for entry in obj["chains"]:
-        chains[(entry["var"], int(entry["value"]))] = RefutationChain.from_obj(entry["chain"])
-    domains = {v: frozenset(int(a) for a in vals) for v, vals in obj["domains"].items()}
-    return SlacResult(domains, bool(obj["consistent"]), chains)
+    for entry in _list(obj["chains"], "chains"):
+        key = (str(_object(entry, "a chains entry")["var"]), _int(entry["value"], "value"))
+        chains[key] = RefutationChain.from_obj(entry["chain"])
+    domains = {
+        v: frozenset(_int(a, "a domain value") for a in _list(vals, "a domain"))
+        for v, vals in _object(obj["domains"], "domains").items()
+    }
+    if type(obj["consistent"]) is not bool:
+        raise InstanceFormatError("malformed document: consistent must be true or false")
+    return SlacResult(domains, obj["consistent"], chains)

@@ -210,9 +210,21 @@ def _positive_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
+def _int(x, what: str) -> int:
+    if type(x) is not int:  # not bool, float or str
+        raise InstanceFormatError(f"malformed document: {what} must be an integer")
+    return x
+
+
 def _list(x, what: str) -> list:
     if not isinstance(x, list):
         raise InstanceFormatError(f"malformed document: {what} must be a list")
+    return x
+
+
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise InstanceFormatError(f"malformed document: {what} must be an object")
     return x
 
 
@@ -221,18 +233,15 @@ def load_instance(document: str) -> Instance:
         obj = json.loads(document)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"malformed document: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InstanceFormatError("malformed document: top level must be an object")
+    _object(obj, "top level")
     for key in ("d", "relations", "variables", "constraints"):
         if key not in obj:
             raise InstanceFormatError(f"malformed document: missing key {key!r}")
     d = obj["d"]
     if not _positive_int(d):
         raise InstanceFormatError("malformed document: d must be a positive integer")
-    if not isinstance(obj["relations"], dict):
-        raise InstanceFormatError("malformed document: relations must be an object")
     rels = {}
-    for name, entry in obj["relations"].items():
+    for name, entry in _object(obj["relations"], "relations").items():
         if not isinstance(entry, dict) or "arity" not in entry or "tuples" not in entry:
             raise InstanceFormatError(f"malformed document: relation {name!r}")
         arity = entry["arity"]

@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .csp_core import _int, _list, _object
+
 
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (dense lists, lowest degree first).
@@ -289,9 +291,13 @@ class CycNum:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CycNum":
-        if any(int(d) == 0 for _, d in obj["coeffs"]):
-            raise ValueError("coefficient denominator is zero")
-        return cls(int(obj["order"]), [Fraction(int(n), int(d)) for n, d in obj["coeffs"]])
+        coeffs = []
+        for pair in _list(_object(obj, "a field element")["coeffs"], "coeffs"):
+            num, den = _list(pair, "a coefficient")
+            if _int(den, "a denominator") == 0:
+                raise ValueError("coefficient denominator is zero")
+            coeffs.append(Fraction(_int(num, "a numerator"), den))
+        return cls(_int(obj["order"], "order"), coeffs)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -432,7 +438,7 @@ class UniPoly:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "UniPoly":
-        return cls([CycNum.from_obj(c) for c in obj["coeffs"]])
+        return cls([CycNum.from_obj(c) for c in _list(_object(obj, "q")["coeffs"], "coeffs")])
 
     def __str__(self) -> str:
         if self.is_zero():

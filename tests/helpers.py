@@ -167,8 +167,10 @@ def collapse_mutations(script: tuple, d: int):
 
 
 def reference_collapse_check(d: int, collapse) -> CheckResult:
-    """The collapse replay of `check_certificate`, computing every root
-    product afresh (test oracle for the checker's memoized loop)."""
+    """The re-expanding reference for the collapse replay of
+    `check_certificate`: the same structural checks, plus every shrink
+    subtraction expanded into root products and compared coefficient by
+    coefficient (test oracle for the checker's structural loop)."""
     established = {frozenset(range(d)) - {k} for k in range(d)}
     for j, (base, r1, r2) in enumerate(collapse):
         loc = ("collapse", j)

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from opcsp.certificates import (
 )
 from opcsp.consistency import ChainStep, RefutationChain, slac
 from opcsp.csp_core import brute_force_solve, make_instance
-from opcsp.cyclotomic import CycNum, UniPoly
-from opcsp.fourier import complement, dom_difference_inverse, dom_polynomial
+from opcsp.cyclotomic import CycNum, UniPoly, embed
+from opcsp.fourier import complement, dom_difference_inverse, dom_polynomial, root_product
 from opcsp.gap_instances import magic_square
 from opcsp.operators import apply_unipoly_matrix, fro
 
@@ -182,6 +183,19 @@ def test_collapse_mutations_match_reference_loop():
             verdict = check_certificate(inst, replace(cert, collapse=script))
             assert verdict.describe() == reference_collapse_check(d, script).describe(), (d, label)
             assert verdict.accepted == label.endswith("swap"), (d, label, verdict.describe())
+
+
+def test_shrink_subtraction_is_an_identity():
+    # the checker replays the collapse script structurally; this is the
+    # identity that makes every structurally sound entry coefficient-exact
+    for d in range(2, 7):
+        for size in range(d - 1):
+            for S in combinations(range(d), size):
+                S = frozenset(S)
+                rest = sorted(set(range(d)) - S)
+                for r1, r2 in permutations(rest, 2):
+                    lhs = root_product(S | {r1}, d) - root_product(S | {r2}, d)
+                    assert lhs == root_product(S, d) * (embed(r2, d) - embed(r1, d))
 
 
 def test_unlicensed_rule_rejected():

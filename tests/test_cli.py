@@ -177,9 +177,9 @@ def test_audit_build_and_check(tmp_path):
     assert mismatch.stdout.startswith("REJECT")
 
 
-def test_audit_check_rejects_witness_order_not_dividing_d(tmp_path):
-    """A witness coefficient whose order does not divide d is an input error
-    (exit 2 with `error:`), found before any field arithmetic."""
+def shift_cycle(tmp_path):
+    """The d = 3 cycle x -> y -> x of +1 shifts, which SLAC refutes, and its
+    certificate (carrying Bezout witnesses): the two file paths."""
     shift = [(k, (k + 1) % 3) for k in range(3)]
     inst = make_instance(
         3, ["x", "y"], [(("x", "y"), "shift1"), (("y", "x"), "shift1")], {"shift1": shift}
@@ -188,6 +188,13 @@ def test_audit_check_rejects_witness_order_not_dividing_d(tmp_path):
     path.write_text(serialize_instance(inst))
     cert_path = tmp_path / "cycle.cert"
     assert dispatch(["audit", str(path), "--out", str(cert_path)]).exit_code == 0
+    return path, cert_path
+
+
+def test_audit_check_rejects_witness_order_not_dividing_d(tmp_path):
+    """A witness coefficient whose order does not divide d is an input error
+    (exit 2 with `error:`), found before any field arithmetic."""
+    path, cert_path = shift_cycle(tmp_path)
     doc = json.loads(cert_path.read_text())
     witness = next(st for sec in doc["sections"] for st in sec["steps"] if "q" in st)
     witness["q"]["coeffs"][0]["order"] = 2310
@@ -201,14 +208,7 @@ def test_audit_check_rejects_witness_order_not_dividing_d(tmp_path):
 def test_audit_check_rejects_zero_denominator(tmp_path):
     """A witness coefficient with denominator 0 is an input error (exit 2 with
     `error:`), not a ZeroDivisionError traceback."""
-    shift = [(k, (k + 1) % 3) for k in range(3)]
-    inst = make_instance(
-        3, ["x", "y"], [(("x", "y"), "shift1"), (("y", "x"), "shift1")], {"shift1": shift}
-    )
-    path = tmp_path / "cycle.inst"
-    path.write_text(serialize_instance(inst))
-    cert_path = tmp_path / "cycle.cert"
-    assert dispatch(["audit", str(path), "--out", str(cert_path)]).exit_code == 0
+    path, cert_path = shift_cycle(tmp_path)
     doc = json.loads(cert_path.read_text())
     witness = next(st for sec in doc["sections"] for st in sec["steps"] if "q" in st)
     witness["c"]["coeffs"] = [[1, 0]]
@@ -249,6 +249,85 @@ def test_audit_trace_that_does_not_replay(tmp_path):
     result = dispatch(["audit", path, "--trace", str(trace)])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: self-check failed: REJECT at section:0:step:0")
+    assert result.stdout == ""
+
+
+def _replaced(doc, path, value):
+    """A copy of the JSON value `doc` with the node at `path` set to `value`."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return copy
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _type_mutations(doc):
+    """Every document with one JSON node (the root included) replaced by
+    null, true, 1.5, "s", [] or {}, skipping replacements that change nothing."""
+    text = json.dumps(doc)
+    for path in _node_paths(doc):
+        for value in (None, True, 1.5, "s", [], {}):
+            mutated = _replaced(doc, path, value)
+            if json.dumps(mutated) != text:
+                yield path, value, mutated
+
+
+def test_audit_survives_single_field_type_mutations(tmp_path):
+    """No mutated certificate or trace escapes `dispatch` as an exception.
+    A mutated certificate gives REJECT (1) or an input error (2).  A mutated
+    trace gives 2, or 0 with the unmutated certificate: the builder reads
+    only the chains up to the first emptied variable, so a mutation of a
+    later chain or of `domains` leaves the certificate as it was."""
+    path, cert_path = shift_cycle(tmp_path)
+    trace_path = tmp_path / "cycle.trace"
+    assert dispatch(["slac", str(path), "--trace", str(trace_path)]).exit_code == 1
+    built = dispatch(["audit", str(path), "--trace", str(trace_path)])
+    assert built.exit_code == 0
+    bad = tmp_path / "bad.json"
+    for flag, doc_path in (("--check", cert_path), ("--trace", trace_path)):
+        for where, value, mutated in _type_mutations(json.loads(doc_path.read_text())):
+            bad.write_text(json.dumps(mutated))
+            result = dispatch(["audit", str(path), flag, str(bad)])
+            if result.exit_code == 1:
+                assert flag == "--check" and result.stdout.startswith("REJECT"), (where, value)
+            elif result.exit_code == 2:
+                assert result.stderr.startswith(("error:", "not applicable:")), (where, value)
+            else:
+                assert flag == "--trace" and result.stdout == built.stdout, (where, value)
+
+
+MALFORMED_AUDIT_DOCUMENTS = {
+    "sections-number": ("--check", ("sections",), 5),
+    "steps-null": ("--check", ("sections", 0, "steps"), None),
+    "values-number": ("--check", ("sections", 0, "steps", 0, "values"), 3),
+    "base-number": ("--check", ("collapse", 0, "base"), 1),
+    "value-list": ("--check", ("sections", 0, "value"), [0]),
+    "chains-number": ("--trace", ("chains",), 5),
+    "domains-list": ("--trace", ("domains",), []),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_AUDIT_DOCUMENTS))
+def test_audit_malformed_document_exits_two(tmp_path, label):
+    flag, where, value = MALFORMED_AUDIT_DOCUMENTS[label]
+    path, doc_path = shift_cycle(tmp_path)
+    if flag == "--trace":
+        doc_path = tmp_path / "cycle.trace"
+        assert dispatch(["slac", str(path), "--trace", str(doc_path)]).exit_code == 1
+    doc_path.write_text(json.dumps(_replaced(json.loads(doc_path.read_text()), where, value)))
+    result = dispatch(["audit", str(path), flag, str(doc_path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: malformed document"), result.stderr
     assert result.stdout == ""
 
 
