@@ -10,13 +10,15 @@ script that shrinks the per-value exclusion products down to the empty
 product, i.e. the contradiction I = 0.
 
 The checker trusts nothing from the builder: it replays every chain image
-against the instance and re-verifies every Bezout identity modulo x^d - 1 with
-exact cyclotomic arithmetic, each membership difference computed once per
-`check_certificate` call.  Its collapse replay is structural: with R(S) the
-product of (x - lambda_k) over k in S, R(S + r1) - R(S + r2) =
-(lambda_r2 - lambda_r1) * R(S) for every S and r1 != r2, a nonzero multiple,
-so an entry only has to consume two established sets (the test suite expands
-the identity for d = 2..6).
+against the instance and re-verifies every Bezout identity modulo x^d - 1
+exactly, each membership difference computed once per `check_certificate`
+call.  Its arithmetic works on integer rows over the group ring Z[C_L]
+(integer vectors over the powers of zeta_L, which map onto Z[zeta_L] modulo
+Phi_L) and shares no polynomial code with the builder.  Its collapse replay
+is structural: with R(S) the product of (x - lambda_k) over k in S,
+R(S + r1) - R(S + r2) = (lambda_r2 - lambda_r1) * R(S) for every S and
+r1 != r2, a nonzero multiple, so an entry only has to consume two
+established sets (the test suite expands the identity for d = 2..6).
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import lcm
 
 from .consistency import RefutationChain, SlacResult
 from .csp_core import Instance, _int, _list, _object, instance_digest
-from .cyclotomic import ZERO, CycNum, UniPoly
-from .fourier import complement, dom_difference_inverse, dom_polynomial
+from .cyclotomic import CycNum, UniPoly, _int_poly_divmod, cyclotomic_int_coeffs
+from .fourier import dom_difference_inverse
 
 FORMAT = "gap-certificate/1"
 
@@ -66,31 +69,17 @@ class GapCertificate:
             raise ValueError(f"unsupported certificate format {obj.get('format')!r}")
         cert_d = _int(obj["d"], "d")
         d = cert_d if d is None else d
-        for order in _witness_orders(obj):
-            if type(order) is not int or order < 1 or d < 1 or d % order:
-                raise ValueError(f"witness coefficient order {order!r} does not divide d = {d}")
         return cls(
             str(obj["digest"]),
             cert_d,
             str(obj["variable"]),
-            tuple(RefutationChain.from_obj(s) for s in obj["sections"]),
+            tuple(RefutationChain.from_obj(s, d) for s in _list(obj["sections"], "sections")),
             tuple(map(_collapse_entry, _list(obj["collapse"], "collapse"))),
         )
 
     @classmethod
     def from_json(cls, text: str, d: int | None = None) -> "GapCertificate":
         return cls.from_obj(json.loads(text), d)
-
-
-def _witness_orders(obj: dict):
-    """The `order` of every wire coefficient of the Bezout witnesses, read
-    through the same shape checks as the decoders."""
-    for sec in _list(obj["sections"], "sections"):
-        for st in _list(_object(sec, "a chain")["steps"], "steps"):
-            if "q" in _object(st, "a chain step"):
-                coeffs = _list(_object(st["q"], "q")["coeffs"], "coeffs")
-                yield from (_object(c, "a field element")["order"] for c in coeffs)
-                yield _object(st["c"], "a field element")["order"]
 
 
 def _collapse_entry(e) -> tuple:
@@ -186,18 +175,57 @@ def _reject(location: tuple, reason: str) -> CheckResult:
     return CheckResult(False, location, reason)
 
 
-def _bezout_residue(p: UniPoly, q: UniPoly, c: CycNum, d: int) -> UniPoly:
-    """(p*q - c) modulo x^d - 1, computed by folding: since x^d = 1 there,
-    each product x*y of coefficients of degrees i and j lands in slot
-    (i + j) mod d."""
-    slots = [ZERO] * d
-    for i, x in enumerate(p.coeffs):
-        if not x.is_zero():
-            for j, y in enumerate(q.coeffs):
-                k = (i + j) % d
-                slots[k] = slots[k] + x * y
-    slots[0] = slots[0] - c
-    return UniPoly(slots)
+def _difference_rows(S: frozenset, d: int) -> list:
+    """The membership difference dom(S) - dom(complement of S) =
+    (-1)^|S| R(S) - (-1)^(d - |S|) R(complement), R(T) the product of
+    (x - zeta_d^k) over k in T, as rows over the group ring Z[C_d]: row i
+    holds the integer weights of zeta_d^0..zeta_d^(d-1) in the x^i
+    coefficient.  Multiplying by x - zeta_d^k moves each row up one degree
+    and subtracts it rotated by k, with no multiplication."""
+    out = [[0] * d for _ in range(d + 1)]
+    for T, sign in ((sorted(S), 1), (sorted(set(range(d)) - S), -1)):
+        rows = [[1] + [0] * (d - 1)]
+        for k in T:
+            rows = [
+                [a - b for a, b in zip(lower, row[-k:] + row[:-k])]
+                for lower, row in zip([[0] * d] + rows, rows + [[0] * d])
+            ]
+        sign *= (-1) ** len(T)
+        for total, row in zip(out, rows):
+            total[:] = [a + sign * b for a, b in zip(total, row)]
+    return out
+
+
+def _bezout_residue(p: list, q: UniPoly, c: CycNum, d: int) -> tuple:
+    """(p*q - c) modulo x^d - 1, for p given as rows over Z[C_d] (see
+    `_difference_rows`), as (L, den, slots): slot i is the x^i coefficient
+    times den, an integer vector over zeta_L^0..zeta_L^(phi(L) - 1) reduced
+    modulo Phi_L.  L = lcm(d, the orders of q and c), and den is the least
+    common denominator of q and c.  The products are computed in Z[C_L], the
+    integer vectors over the powers of zeta_L, where zeta_e^i is
+    zeta_L^(i*L/e); since x^d = 1, each product of the coefficients of
+    degrees i and j lands in slot (i + j) mod d, and each slot is reduced
+    modulo Phi_L once, at the end."""
+    L = lcm(d, c.order, *(y.order for y in q.coeffs))
+    den = lcm(c.den, *(y.den for y in q.coeffs))
+
+    def terms(y: CycNum) -> list:
+        step, scale = L // y.order, den // y.den
+        return [(i * step, n * scale) for i, n in enumerate(y.num) if n]
+
+    step = L // d
+    slots = [[0] * (2 * L) for _ in range(d)]
+    witness = [terms(y) for y in q.coeffs]
+    for i, row in enumerate(p):
+        if any(row):
+            for j, products in enumerate(witness):
+                slot = slots[(i + j) % d]
+                for v, b in products:
+                    slot[v:v + L:step] = [s + b * a for s, a in zip(slot[v:v + L:step], row)]
+    for v, b in terms(c):
+        slots[0][v] -= b
+    phi = cyclotomic_int_coeffs(L)
+    return L, den, [_int_poly_divmod([a + b for a, b in zip(s, s[L:])], phi)[1] for s in slots]
 
 
 def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tuple = (),
@@ -209,9 +237,11 @@ def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tu
     is licensed by a constraint of the instance, its recorded set being
     exactly the image of the previous set through the relation filtered by
     the replayed domains; that every Bezout witness (q, c) has c nonzero and
-    q of degree below d, and satisfies p*q = c modulo x^d - 1; and that the
-    chain terminates in the empty set.  `differences` (image -> membership
-    difference p) lets the sections of one certificate share each p.
+    q of degree below d, and satisfies p*q = c modulo x^d - 1, computed on
+    integer rows over Z[C_L] (`_bezout_residue`); and that the chain
+    terminates in the empty set.  `differences` (image -> the rows of the
+    membership difference p) lets the sections of one certificate share
+    each p.
     """
     if chain.var not in remaining:
         return _reject(loc, f"unknown variable {chain.var!r}")
@@ -259,8 +289,8 @@ def check_chain(inst: Instance, remaining: dict, chain: RefutationChain, loc: tu
             if q.degree >= d:
                 return _reject(sloc, "witness degree >= d")
             if image not in differences:
-                differences[image] = dom_polynomial(image, d) - dom_polynomial(complement(image, d), d)
-            if not _bezout_residue(differences[image], q, cc, d).is_zero():
+                differences[image] = _difference_rows(image, d)
+            if any(map(any, _bezout_residue(differences[image], q, cc, d)[2])):
                 return _reject(sloc, "Bezout identity fails modulo x^d - 1")
         cur_var, cur_set = st.var, image
     return CheckResult(True)

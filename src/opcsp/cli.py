@@ -182,7 +182,7 @@ def _cmd_audit(args) -> int:
         print(verdict.describe())
         return 0 if verdict.accepted else 1
     if args.trace:
-        result = consistency.slac_result_from_json(_read(args.trace))
+        result = consistency.slac_result_from_json(_read(args.trace), inst.d)
     else:
         result = consistency.slac(inst)
     if result.consistent:
@@ -306,10 +306,15 @@ _COMMANDS = {
 }
 
 
+_parser = None  # built on first use, once per process
+
+
 def _run(argv) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (
         UsageError, csp_core.InstanceFormatError, ValueError, KeyError, OSError, json.JSONDecodeError

@@ -99,10 +99,18 @@ class ChainStep:
         return obj
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "ChainStep":
+    def from_obj(cls, obj: dict, d: int) -> "ChainStep":
+        """Decode a step of a chain over a domain of size d.  Raises
+        ValueError, before any field arithmetic, when a witness coefficient's
+        order is not a positive divisor of d, and a ValueError subclass on a
+        wrong shape."""
         inverse = None
         if "q" in _object(obj, "a chain step"):
-            inverse = (UniPoly.from_obj(obj["q"]), CycNum.from_obj(obj["c"]))
+            coeffs = _list(_object(obj["q"], "q")["coeffs"], "coeffs")
+            inverse = (
+                UniPoly([_witness_coefficient(y, d) for y in coeffs]),
+                _witness_coefficient(obj["c"], d),
+            )
         return cls(
             _int(obj["constraint"], "constraint"),
             _int(obj["src_pos"], "src_pos"),
@@ -111,6 +119,13 @@ class ChainStep:
             tuple(_int(a, "values") for a in _list(obj["values"], "values")),
             inverse,
         )
+
+
+def _witness_coefficient(obj, d: int) -> CycNum:
+    order = _object(obj, "a field element")["order"]
+    if type(order) is not int or order < 1 or d < 1 or d % order:
+        raise ValueError(f"witness coefficient order {order!r} does not divide d = {d}")
+    return CycNum.from_obj(obj)
 
 
 @dataclass(frozen=True)
@@ -133,11 +148,11 @@ class RefutationChain:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "RefutationChain":
+    def from_obj(cls, obj: dict, d: int) -> "RefutationChain":
         return cls(
             str(_object(obj, "a chain")["var"]),
             _int(obj["value"], "value"),
-            tuple(ChainStep.from_obj(s) for s in _list(obj["steps"], "steps")),
+            tuple(ChainStep.from_obj(s, d) for s in _list(obj["steps"], "steps")),
         )
 
 
@@ -206,13 +221,14 @@ def slac_result_to_json(result: SlacResult) -> str:
     return json.dumps(slac_result_to_obj(result), sort_keys=True, indent=1)
 
 
-def slac_result_from_json(text: str) -> SlacResult:
-    """Read a trace document; raises ValueError on a wrong shape."""
+def slac_result_from_json(text: str, d: int) -> SlacResult:
+    """Read a trace document of an instance with domain size d; raises
+    ValueError on a wrong shape or a witness order that does not divide d."""
     obj = _object(json.loads(text), "top level")
     chains = {}
     for entry in _list(obj["chains"], "chains"):
         key = (str(_object(entry, "a chains entry")["var"]), _int(entry["value"], "value"))
-        chains[key] = RefutationChain.from_obj(entry["chain"])
+        chains[key] = RefutationChain.from_obj(entry["chain"], d)
     domains = {
         v: frozenset(_int(a, "a domain value") for a in _list(vals, "a domain"))
         for v, vals in _object(obj["domains"], "domains").items()

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ import pytest
 from opcsp.certificates import (
     GapCertificate,
     _bezout_residue,
+    _difference_rows,
     build_certificate,
     check_certificate,
+    check_chain,
     collapse_script,
     certify,
 )
@@ -151,6 +154,24 @@ def _random_cycnum(rng: random.Random, d: int) -> CycNum:
     return CycNum(order, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(order)])
 
 
+def _rows(p: UniPoly, d: int) -> tuple[list, int]:
+    """p times the least common denominator of its coefficients, as rows over
+    Z[C_d] (every coefficient order divides d), and that denominator."""
+    den = lcm(1, *(y.den for y in p.coeffs))
+    rows = []
+    for y in p.coeffs:
+        row = [0] * d
+        for i, n in enumerate(y.num):
+            row[i * d // y.order] += n * (den // y.den)
+        rows.append(row)
+    return rows, den
+
+
+def _as_poly(residue: tuple) -> UniPoly:
+    L, den, slots = residue
+    return UniPoly([CycNum(L, [Fraction(v, den) for v in slot]) for slot in slots])
+
+
 def test_bezout_fold_matches_division_by_circle():
     rng = random.Random(7)
     for d in range(2, 12):
@@ -159,18 +180,70 @@ def test_bezout_fold_matches_division_by_circle():
             p = UniPoly([_random_cycnum(rng, d) for _ in range(rng.randint(0, 2 * d))])
             q = UniPoly([_random_cycnum(rng, d) for _ in range(rng.randint(0, 2 * d))])
             c = _random_cycnum(rng, d)
-            assert _bezout_residue(p, q, c, d) == (p * q - UniPoly.constant(c)) % circle
+            rows, den = _rows(p, d)
+            expected = (p * q - UniPoly.constant(c)) % circle
+            assert _as_poly(_bezout_residue(rows, q, c * den, d)) == expected * den
     for d in range(2, 8):
         circle = UniPoly.x_pow_minus_one(d)
         for mask in range(1, 2 ** d - 1):
             S = frozenset(k for k in range(d) if mask >> k & 1)
             p = dom_polynomial(S, d) - dom_polynomial(complement(S, d), d)
+            rows = _difference_rows(S, d)
             q, c = dom_difference_inverse(S, d)
             expected = (p * q - UniPoly.constant(c)) % circle
             assert expected.is_zero()
-            assert _bezout_residue(p, q, c, d) == expected
+            assert _as_poly(_bezout_residue(rows, q, c, d)) == expected
             off = c + CycNum.from_rational(1)
-            assert _bezout_residue(p, q, off, d) == (p * q - UniPoly.constant(off)) % circle
+            expected = (p * q - UniPoly.constant(off)) % circle
+            assert _as_poly(_bezout_residue(rows, q, off, d)) == expected
+
+
+def test_difference_rows_match_dom_polynomial():
+    for d in range(1, 10):
+        for mask in range(2 ** d):
+            S = frozenset(k for k in range(d) if mask >> k & 1)
+            rows = _difference_rows(S, d)
+            expected = dom_polynomial(S, d) - dom_polynomial(complement(S, d), d)
+            assert UniPoly([CycNum(d, row) for row in rows]) == expected, (d, sorted(S))
+
+
+def _cycle_section(d: int = 3):
+    """The d-valued cycle x -> y -> x of +1 shifts, and the first section of
+    its certificate, whose step 0 carries a Bezout witness."""
+    shift = [(k, (k + 1) % d) for k in range(d)]
+    inst = make_instance(d, ["x", "y"], [(("x", "y"), "s"), (("y", "x"), "s")], {"s": shift})
+    sec = build_certificate(inst, slac(inst)).sections[0]
+    assert _check_section(inst, sec).accepted
+    assert sec.steps[0].inverse is not None
+    return inst, sec
+
+
+def _with_inverse(sec: RefutationChain, q: UniPoly, c: CycNum) -> RefutationChain:
+    return replace(sec, steps=(replace(sec.steps[0], inverse=(q, c)),) + sec.steps[1:])
+
+
+def _check_section(inst, sec):
+    return check_chain(inst, {v: set(range(inst.d)) for v in inst.variables}, sec)
+
+
+def test_witness_with_coefficients_outside_q_zeta_d_accepted():
+    # an in-process witness may carry any order; the fold then runs in
+    # Z[C_L] for L = lcm(d, orders), here 21
+    inst, sec = _cycle_section(3)
+    q, c = sec.steps[0].inverse
+    zeta7 = embed(1, 7)
+    assert _bezout_residue(_difference_rows(frozenset(sec.steps[0].values), 3), q * zeta7,
+                           c * zeta7, 3)[0] == 21
+    assert _check_section(inst, _with_inverse(sec, q * zeta7, c * zeta7)).accepted
+
+
+def test_witness_with_huge_coefficients():
+    inst, sec = _cycle_section(3)
+    q, c = sec.steps[0].inverse
+    big = 10 ** 60
+    assert _check_section(inst, _with_inverse(sec, q * big, c * big)).accepted
+    verdict = _check_section(inst, _with_inverse(sec, q, c + Fraction(1, big)))
+    assert verdict.describe() == "REJECT at step:0: Bezout identity fails modulo x^d - 1"
 
 
 def test_collapse_mutations_match_reference_loop():

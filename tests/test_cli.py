@@ -236,6 +236,24 @@ def test_audit_trace_rejects_zero_denominator(tmp_path):
     assert result.stdout == ""
 
 
+def test_audit_trace_rejects_witness_order_not_dividing_d(tmp_path):
+    """A trace step's witness is read with the same order check as a
+    certificate's, before any field arithmetic, although the builder then
+    discards it."""
+    path = unsat_two_unary(tmp_path)
+    trace = tmp_path / "trace.json"
+    assert dispatch(["slac", path, "--trace", str(trace)]).exit_code == 1
+    doc = json.loads(trace.read_text())
+    step = doc["chains"][0]["chain"]["steps"][0]
+    step["q"] = {"coeffs": [{"order": 2310, "coeffs": [[1, 1]]}]}
+    step["c"] = {"order": 1, "coeffs": [[1, 1]]}
+    trace.write_text(json.dumps(doc))
+    result = dispatch(["audit", path, "--trace", str(trace)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: witness coefficient order 2310 does not divide d = 2")
+    assert result.stdout == ""
+
+
 def test_audit_trace_that_does_not_replay(tmp_path):
     """A trace whose chain cites the wrong constraint is an input error (exit
     2 with `error:`), not a traceback or the REJECT code."""

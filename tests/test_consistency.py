@@ -251,5 +251,5 @@ def test_slac_determinism_byte_for_byte():
         first = slac_result_to_json(slac(inst))
         second = slac_result_to_json(slac(inst))
         assert first == second
-        parsed = slac_result_from_json(first)
+        parsed = slac_result_from_json(first, inst.d)
         assert slac_result_to_json(parsed) == first

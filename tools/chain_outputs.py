@@ -46,8 +46,11 @@ not only the facts on refutation chains.
 
 Then it prints the `check_certificate` verdict, as `CheckResult.describe()`
 text, of every single-entry mutation (`helpers.collapse_mutations`) of the
-collapse script of `helpers.minimal_conflict_instance(d)` for d = 2..6, and
-the `CheckResult.describe()` text of every `check_certificate` call made while
+collapse script of `helpers.minimal_conflict_instance(d)` for d = 2..6; of
+the certificate of a seeded two-variable shift cycle for d = 3, 5, 7, 9, 11,
+as built and with one Bezout witness coefficient (a coefficient of `q`, or
+`c`) increased by 1, once for each coefficient of each witness; and the
+`CheckResult.describe()` text of every `check_certificate` call made while
 `tests/test_acceptance.py::test_criterion_2_refutations_and_certificates` and
 `tests/test_certificates.py` run.  It uses only API that the refactors of the
 chain path, of the DFT path and of the field representation keep, so the same
@@ -404,6 +407,39 @@ def emit_collapse_outputs():
             print(f"collapse d={d} {label}: {verdict.describe()}")
 
 
+def shift_cycle(d: int, rng: random.Random):
+    """x -> y -> x through shifts whose total is nonzero mod d: refuted."""
+    k1 = rng.randrange(1, d)
+    k2 = (rng.randrange(1, d) - k1) % d
+    rels = {f"s{k}": [(a, (a + k) % d) for a in range(d)] for k in (k1, k2)}
+    return make_instance(d, ["x", "y"], [(("x", "y"), f"s{k1}"), (("y", "x"), f"s{k2}")], rels)
+
+
+def perturbed_witnesses(cert):
+    """(label, certificate) for every single witness coefficient + 1."""
+    for k, sec in enumerate(cert.sections):
+        for i, st in enumerate(sec.steps):
+            if st.inverse is None:
+                continue
+            q, c = st.inverse
+            variants = [(f"q{j}", (UniPoly(q.coeffs[:j] + (y + 1,) + q.coeffs[j + 1:]), c))
+                        for j, y in enumerate(q.coeffs)]
+            variants.append(("c", (q, c + 1)))
+            for label, inverse in variants:
+                steps = sec.steps[:i] + (replace(st, inverse=inverse),) + sec.steps[i + 1:]
+                sections = cert.sections[:k] + (replace(sec, steps=steps),) + cert.sections[k + 1:]
+                yield f"section {k} step {i} {label}", replace(cert, sections=sections)
+
+
+def emit_witness_outputs():
+    for d in (3, 5, 7, 9, 11):
+        inst = shift_cycle(d, random.Random(f"shift-cycle-{d}"))
+        cert = build_certificate(inst, slac(inst))
+        print(f"cycle d={d} built: {check_certificate(inst, cert).describe()}")
+        for label, bad in perturbed_witnesses(cert):
+            print(f"cycle d={d} {label} + 1: {check_certificate(inst, bad).describe()}")
+
+
 class RecordChecks:
     """Wraps check_certificate at its module attribute before the test
     modules import it, and records every verdict."""
@@ -431,6 +467,7 @@ def main() -> int:
     emit_diagonalize_outputs()
     emit_degenerate_outputs()
     emit_collapse_outputs()
+    emit_witness_outputs()
     recorder = RecordChecks()
     with redirect_stdout(sys.stderr):  # keep pytest's report, with its timings, off stdout
         code = pytest.main(
