@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 
 from .consistency import RefutationChain, SlacResult
-from .csp_core import Instance, _int, _list, _object, instance_digest
+from .csp_core import Instance, _int, _list, _object, _str, instance_digest
 from .cyclotomic import CycNum, UniPoly, _int_poly_divmod, cyclotomic_int_coeffs
 from .fourier import dom_difference_inverse
 
@@ -70,9 +70,9 @@ class GapCertificate:
         cert_d = _int(obj["d"], "d")
         d = cert_d if d is None else d
         return cls(
-            str(obj["digest"]),
+            _str(obj["digest"], "digest"),
             cert_d,
-            str(obj["variable"]),
+            _str(obj["variable"], "variable"),
             tuple(RefutationChain.from_obj(s, d) for s in _list(obj["sections"], "sections")),
             tuple(map(_collapse_entry, _list(obj["collapse"], "collapse"))),
         )

@@ -316,9 +316,7 @@ def _run(argv) -> int:
     try:
         args = _parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (
-        UsageError, csp_core.InstanceFormatError, ValueError, KeyError, OSError, json.JSONDecodeError
-    ) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:  # document errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

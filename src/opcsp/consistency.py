@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .csp_core import Instance, InstanceFormatError, _int, _list, _object
+from .csp_core import Instance, InstanceFormatError, _int, _list, _object, _str
 from .cyclotomic import CycNum, UniPoly
 
 
@@ -115,16 +115,16 @@ class ChainStep:
             _int(obj["constraint"], "constraint"),
             _int(obj["src_pos"], "src_pos"),
             _int(obj["tgt_pos"], "tgt_pos"),
-            str(obj["var"]),
+            _str(obj["var"], "var"),
             tuple(_int(a, "values") for a in _list(obj["values"], "values")),
             inverse,
         )
 
 
 def _witness_coefficient(obj, d: int) -> CycNum:
-    order = _object(obj, "a field element")["order"]
-    if type(order) is not int or order < 1 or d < 1 or d % order:
-        raise ValueError(f"witness coefficient order {order!r} does not divide d = {d}")
+    order = _int(_object(obj, "a field element", ("order",))["order"], "order", 1)
+    if d < 1 or d % order:
+        raise ValueError(f"witness coefficient order {order} does not divide d = {d}")
     return CycNum.from_obj(obj)
 
 
@@ -150,7 +150,7 @@ class RefutationChain:
     @classmethod
     def from_obj(cls, obj: dict, d: int) -> "RefutationChain":
         return cls(
-            str(_object(obj, "a chain")["var"]),
+            _str(_object(obj, "a chain")["var"], "var"),
             _int(obj["value"], "value"),
             tuple(ChainStep.from_obj(s, d) for s in _list(obj["steps"], "steps")),
         )
@@ -227,7 +227,7 @@ def slac_result_from_json(text: str, d: int) -> SlacResult:
     obj = _object(json.loads(text), "top level")
     chains = {}
     for entry in _list(obj["chains"], "chains"):
-        key = (str(_object(entry, "a chains entry")["var"]), _int(entry["value"], "value"))
+        key = (_str(_object(entry, "a chains entry")["var"], "var"), _int(entry["value"], "value"))
         chains[key] = RefutationChain.from_obj(entry["chain"], d)
     domains = {
         v: frozenset(_int(a, "a domain value") for a in _list(vals, "a domain"))

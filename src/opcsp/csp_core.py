@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -206,25 +207,39 @@ def instance_digest(inst: Instance) -> str:
     return inst.digest
 
 
-def _positive_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+# Strict readers of document values: each returns its argument or raises InstanceFormatError.
+def _malformed(what: str, kind: str) -> InstanceFormatError:
+    return InstanceFormatError(f"malformed document: {what} must be {kind}")
 
 
-def _int(x, what: str) -> int:
-    if type(x) is not int:  # not bool, float or str
-        raise InstanceFormatError(f"malformed document: {what} must be an integer")
+def _int(x, what: str, lo: int | None = None) -> int:
+    if type(x) is not int or (lo is not None and x < lo):  # not bool, float or str
+        raise _malformed(what, "an integer" if lo is None else f"an integer >= {lo}")
     return x
 
 
-def _list(x, what: str) -> list:
-    if not isinstance(x, list):
-        raise InstanceFormatError(f"malformed document: {what} must be a list")
+def _real(x, what: str) -> float | int:
+    # any float, NaN and inf included; a larger int would overflow in complex()
+    if type(x) is not float and not (type(x) is int and abs(x) <= sys.float_info.max):
+        raise _malformed(what, "a number")
     return x
 
 
-def _object(x, what: str) -> dict:
-    if not isinstance(x, dict):
-        raise InstanceFormatError(f"malformed document: {what} must be an object")
+def _str(x, what: str) -> str:
+    if type(x) is not str:
+        raise _malformed(what, "a string")
+    return x
+
+
+def _list(x, what: str, length: int | None = None) -> list:
+    if not isinstance(x, list) or (length is not None and len(x) != length):
+        raise _malformed(what, "a list" if length is None else f"a list of length {length}")
+    return x
+
+
+def _object(x, what: str, keys: tuple = ()) -> dict:
+    if not isinstance(x, dict) or not all(key in x for key in keys):
+        raise _malformed(what, f"an object with keys {', '.join(keys)}" if keys else "an object")
     return x
 
 
@@ -233,36 +248,29 @@ def load_instance(document: str) -> Instance:
         obj = json.loads(document)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"malformed document: {exc}") from exc
-    _object(obj, "top level")
-    for key in ("d", "relations", "variables", "constraints"):
-        if key not in obj:
-            raise InstanceFormatError(f"malformed document: missing key {key!r}")
-    d = obj["d"]
-    if not _positive_int(d):
-        raise InstanceFormatError("malformed document: d must be a positive integer")
+    _object(obj, "top level", ("d", "relations", "variables", "constraints"))
+    d = _int(obj["d"], "d", 1)
     rels = {}
     for name, entry in _object(obj["relations"], "relations").items():
-        if not isinstance(entry, dict) or "arity" not in entry or "tuples" not in entry:
-            raise InstanceFormatError(f"malformed document: relation {name!r}")
-        arity = entry["arity"]
-        if not _positive_int(arity):
-            raise InstanceFormatError(f"malformed document: arity of relation {name!r}")
-        tuples = [
-            tuple(map(int, _list(t, f"a tuple of relation {name!r}")))
-            for t in _list(entry["tuples"], f"tuples of relation {name!r}")
-        ]
+        what = f"relation {name!r}"
+        arity = _int(_object(entry, what, ("arity", "tuples"))["arity"], f"arity of {what}", 1)
+        rows = _list(entry["tuples"], f"tuples of {what}")
+        # one type scan; Relation checks each row's length and range
+        if not {list}.issuperset(map(type, rows)):
+            raise _malformed(f"a tuple of {what}", "a list")
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+            raise _malformed(f"a tuple entry of {what}", "an integer")
         try:
-            rels[name] = Relation(arity, d, tuples)
+            rels[name] = Relation(arity, d, rows)
         except ValueError as exc:  # arity mismatch or value out of domain
-            raise InstanceFormatError(f"{exc} in relation {name!r}") from None
-    variables = [str(v) for v in _list(obj["variables"], "variables")]
+            raise InstanceFormatError(f"{exc} in {what}") from None
+    variables = tuple(_str(v, "a variable") for v in _list(obj["variables"], "variables"))
     constraints = []
     for c in _list(obj["constraints"], "constraints"):
-        if not isinstance(c, dict) or "scope" not in c or not isinstance(c.get("rel"), str):
-            raise InstanceFormatError("malformed document: constraint entries need scope and rel")
-        constraints.append((tuple(str(v) for v in _list(c["scope"], "scope")), c["rel"]))
-    lang = Language(d, rels)
-    return Instance(d, tuple(variables), tuple(Constraint(s, r) for s, r in constraints), lang)
+        scope = _list(_object(c, "a constraint", ("scope", "rel"))["scope"], "scope")
+        scope = tuple(_str(v, "a scope entry") for v in scope)
+        constraints.append(Constraint(scope, _str(c["rel"], "rel")))
+    return Instance(d, variables, tuple(constraints), Language(d, rels))
 
 
 # ---------------------------------------------------------------------------

@@ -291,13 +291,14 @@ class CycNum:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CycNum":
-        coeffs = []
-        for pair in _list(_object(obj, "a field element")["coeffs"], "coeffs"):
-            num, den = _list(pair, "a coefficient")
-            if _int(den, "a denominator") == 0:
-                raise ValueError("coefficient denominator is zero")
-            coeffs.append(Fraction(_int(num, "a numerator"), den))
-        return cls(_int(obj["order"], "order"), coeffs)
+        # the [num, den] pairs over their common denominator, with no Fraction
+        coeffs = _list(_object(obj, "a field element", ("order", "coeffs"))["coeffs"], "coeffs")
+        pairs = [_list(pair, "a coefficient", 2) for pair in coeffs]
+        den = lcm(*(_int(k, "a denominator") for _, k in pairs))  # 0 if any is 0
+        if den == 0:
+            raise ValueError("coefficient denominator is zero")
+        num = [_int(n, "a numerator") * (den // k) for n, k in pairs]
+        return cls._of(_int(obj["order"], "order", 1), num, den)
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -5,10 +5,13 @@ bounded-width fixture languages used throughout the test corpora.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 from .csp_core import Instance, Language, Relation, make_instance
+
+ZSUM_GUARD = 10 ** 8
 
 
 def parity_relation(d2_rhs: int) -> Relation:
@@ -111,7 +114,9 @@ def sum3_relation(p: int, a: int) -> Relation:
 
 
 def zero_sum_relation(p: int) -> Relation:
-    """x_1 + ... + x_{p+2} = 0 over Z_p."""
+    """x_1 + ... + x_{p+2} = 0 over Z_p: p^(p+1) tuples, refused above ZSUM_GUARD."""
+    if p > 1 and (p + 1) * math.log(p) > math.log(ZSUM_GUARD):  # logs, not a huge power
+        raise ValueError(f"zero-sum relation over Z_{p} has {p}^{p + 1} tuples, above the guard")
     r = p + 2
     tuples = frozenset(
         t + ((-sum(t)) % p,) for t in product(range(p), repeat=r - 1)
@@ -120,8 +125,9 @@ def zero_sum_relation(p: int) -> Relation:
 
 
 def linear_language(p: int) -> Language:
+    zsum = zero_sum_relation(p)  # first, so that its guard runs before any relation is built
     rels = {f"sum3_{a}": sum3_relation(p, a) for a in range(p)}
-    rels["zsum"] = zero_sum_relation(p)
+    rels["zsum"] = zsum
     return Language(p, rels)
 
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import weakref
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .csp_core import Instance, Relation, _positive_int
+from .csp_core import Instance, InstanceFormatError, Relation, _int, _list, _object, _real
 from .cyclotomic import UniPoly, embed
 from .fourier import MultiPoly, relation_polynomial
 
@@ -162,37 +161,20 @@ def operator_assignment_from_obj(obj) -> OperatorAssignment:
     an `assign` object mapping each variable to `dim` rows of `dim`
     [re, im] number pairs.  NaN and inf entries are read as they are, for
     verification to report; any other shape raises ValueError."""
-    if not isinstance(obj, dict):
-        raise ValueError("operator document must be an object")
-    dim = obj.get("dim")
-    if not _positive_int(dim):
-        raise ValueError(f"operator document: dim must be an integer >= 1, got {dim!r}")
-    if not isinstance(obj.get("assign"), dict):
-        raise ValueError("operator document: assign must be an object")
-    assign = {}
-    for v, rows in obj["assign"].items():
-        if not _pair_matrix(rows, dim):
-            raise ValueError(
-                f"operator for {v!r} must be a {dim}x{dim} matrix of [re, im] number pairs"
-            )
-        assign[v] = np.array([[complex(re, im) for re, im in row] for row in rows])
+    try:
+        dim = _int(_object(obj, "top level", ("dim", "assign"))["dim"], "dim", 1)
+        assign = {}
+        for v, rows in _object(obj["assign"], "assign").items():
+            what = f"operator for {v!r}"
+            pair, part = f"an entry of the {what}", f"a part of an entry of the {what}"
+            assign[v] = np.array([
+                [complex(*(_real(y, part) for y in _list(x, pair, 2)))
+                 for x in _list(row, what, dim)]
+                for row in _list(rows, what, dim)
+            ])
+    except InstanceFormatError as exc:
+        raise ValueError(f"operator document: {exc}") from None
     return OperatorAssignment(dim, assign)
-
-
-def _pair_matrix(rows, dim: int) -> bool:
-    """Whether `rows` is `dim` lists of `dim` [re, im] pairs of floats or of
-    ints within the float range (a larger int would overflow in complex())."""
-
-    def sized(x, length: int) -> bool:
-        return isinstance(x, list) and len(x) == length
-
-    def number(y) -> bool:
-        return type(y) is float or (type(y) is int and abs(y) <= sys.float_info.max)
-
-    def pair(x) -> bool:
-        return sized(x, 2) and all(map(number, x))
-
-    return sized(rows, dim) and all(sized(row, dim) and all(map(pair, row)) for row in rows)
 
 
 def operator_assignment_from_json(text: str) -> OperatorAssignment:

@@ -19,6 +19,7 @@ from .csp_core import (
     Instance,
     Language,
     Relation,
+    _int, _list, _object, _str,
     equality_relation,
     full_relation,
     make_instance,
@@ -73,12 +74,13 @@ class PPFormula:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "PPFormula":
-        return cls(
-            int(obj["arity"]),
-            int(obj["exists"]),
-            tuple(PPAtom(str(a["rel"]), tuple(int(i) for i in a["vars"])) for a in obj["atoms"]),
-        )
+    def from_obj(cls, obj) -> "PPFormula":
+        _object(obj, "top level", ("arity", "exists", "atoms"))
+        atoms = []
+        for a in _list(obj["atoms"], "atoms"):
+            vars_ = _list(_object(a, "an atom", ("rel", "vars"))["vars"], "vars")
+            atoms.append(PPAtom(_str(a["rel"], "rel"), tuple(_int(i, "an index") for i in vars_)))
+        return cls(_int(obj["arity"], "arity"), _int(obj["exists"], "exists"), tuple(atoms))
 
 
 def _pp_witness(formula: PPFormula, language: Language, point: tuple):

@@ -1,6 +1,7 @@
 """Shared corpus generators and oracles for the propagation and certificate
 test suites."""
 
+import json
 import random
 from itertools import product
 
@@ -194,3 +195,33 @@ def reference_collapse_check(d: int, collapse) -> CheckResult:
 def cyclotomic_polynomial(L: int) -> UniPoly:
     """Phi_L as a UniPoly with rational coefficients."""
     return UniPoly([CycNum.from_rational(c) for c in cyclotomic_int_coeffs(L)])
+
+
+def replaced(doc, path, value):
+    """A copy of the JSON value `doc` with the node at `path` set to `value`."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return copy
+
+
+def node_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def type_mutations(doc):
+    """Every document with one JSON node (the root included) replaced by
+    null, true, 1.5, "s", [] or {}, skipping replacements that change nothing."""
+    text = json.dumps(doc)
+    for path in node_paths(doc):
+        for value in (None, True, 1.5, "s", [], {}):
+            mutated = replaced(doc, path, value)
+            if json.dumps(mutated) != text:
+                yield path, value, mutated

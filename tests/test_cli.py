@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from opcsp.cli import dispatch
 from opcsp.csp_core import load_instance, make_instance, serialize_instance
 from opcsp.gap_instances import magic_square, pauli_fixture
 from opcsp.operators import OperatorAssignment, operator_assignment_to_json
+
+from helpers import replaced as _replaced, type_mutations as _type_mutations
 
 
 @pytest.fixture()
@@ -270,36 +273,6 @@ def test_audit_trace_that_does_not_replay(tmp_path):
     assert result.stdout == ""
 
 
-def _replaced(doc, path, value):
-    """A copy of the JSON value `doc` with the node at `path` set to `value`."""
-    if not path:
-        return value
-    copy = json.loads(json.dumps(doc))
-    node = copy
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    return copy
-
-
-def _node_paths(node, path=()):
-    yield path
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield from _node_paths(child, path + (key,))
-
-
-def _type_mutations(doc):
-    """Every document with one JSON node (the root included) replaced by
-    null, true, 1.5, "s", [] or {}, skipping replacements that change nothing."""
-    text = json.dumps(doc)
-    for path in _node_paths(doc):
-        for value in (None, True, 1.5, "s", [], {}):
-            mutated = _replaced(doc, path, value)
-            if json.dumps(mutated) != text:
-                yield path, value, mutated
-
-
 def test_audit_survives_single_field_type_mutations(tmp_path):
     """No mutated certificate or trace escapes `dispatch` as an exception.
     A mutated certificate gives REJECT (1) or an input error (2).  A mutated
@@ -347,6 +320,102 @@ def test_audit_malformed_document_exits_two(tmp_path, label):
     assert result.exit_code == 2
     assert result.stderr.startswith("error: malformed document"), result.stderr
     assert result.stdout == ""
+
+
+def _reader_cases(tmp_path):
+    """(label -> (document, argv with "BAD" where the mutated document goes)):
+    the magic square through `slac`, `solve` and `poly`, and a pp-formula
+    through `reduce gadget`."""
+    rels = {"neq": [(0, 1), (1, 0)], "eqd": [(0, 0), (1, 1)]}
+    ipath = tmp_path / "gadget.inst"
+    ipath.write_text(serialize_instance(make_instance(2, ["a", "b"], [(("a", "b"), "eqd")], rels)))
+    formula = {
+        "arity": 2,
+        "exists": 1,
+        "atoms": [{"rel": "neq", "vars": [0, 2]}, {"rel": "neq", "vars": [2, 1]}],
+    }
+    magic = json.loads(serialize_instance(magic_square()))
+    return {
+        "slac": (magic, ["slac", "BAD"]),
+        "solve": (magic, ["solve", "BAD"]),
+        "poly": (magic, ["poly", "BAD", "--rel", "Rplus"]),
+        "gadget": (
+            formula, ["reduce", "gadget", str(ipath), "--formula", "BAD", "--target", "eqd"]
+        ),
+    }
+
+
+@pytest.mark.parametrize("label", ["slac", "solve", "poly", "gadget"])
+def test_document_readers_survive_single_field_type_mutations(tmp_path, label):
+    """No single-field type mutation of an instance or pp-formula document
+    escapes `dispatch` as an exception, and every exit code is 0, 1 or 2."""
+    doc, argv = _reader_cases(tmp_path)[label]
+    bad = tmp_path / "bad.json"
+    argv = [str(bad) if a == "BAD" else a for a in argv]
+    for where, value, mutated in _type_mutations(doc):
+        bad.write_text(json.dumps(mutated))
+        result = dispatch(argv)
+        assert result.exit_code in (0, 1, 2), (where, value)
+        if result.exit_code == 2:
+            assert result.stderr.startswith("error:"), (where, value)
+
+
+def _mistyped_instances():
+    """(label, magic-square document) with one mistyped value as a tuple
+    entry, as a variable (renamed in `variables` and in every scope), or as
+    one scope entry.  A string is a well-typed name, so "0" is tried as a
+    tuple entry only."""
+    for value in ("0", 0.5, 1.0, True, None, [0]):
+        doc = json.loads(serialize_instance(magic_square()))
+        doc["relations"]["Rplus"]["tuples"][0][0] = value
+        yield f"tuple entry {value!r}", doc
+        if isinstance(value, str):
+            continue
+        doc = json.loads(serialize_instance(magic_square()))
+        doc["variables"] = [value if v == "x1" else v for v in doc["variables"]]
+        for c in doc["constraints"]:
+            c["scope"] = [value if v == "x1" else v for v in c["scope"]]
+        yield f"variable {value!r}", doc
+        doc = json.loads(serialize_instance(magic_square()))
+        doc["constraints"][0]["scope"][0] = value
+        yield f"scope entry {value!r}", doc
+
+
+MISTYPED_INSTANCES = dict(_mistyped_instances())
+
+
+@pytest.mark.parametrize("label", list(MISTYPED_INSTANCES))
+def test_mistyped_instance_value_exits_two(tmp_path, label):
+    path = tmp_path / "bad.inst"
+    path.write_text(json.dumps(MISTYPED_INSTANCES[label]))
+    result = dispatch(["slac", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: malformed document"), result.stderr
+
+
+def test_string_variable_names_are_read_as_they_are(tmp_path):
+    doc = json.loads(serialize_instance(magic_square()))
+    doc["variables"] = ["0" if v == "x1" else v for v in doc["variables"]]
+    for c in doc["constraints"]:
+        c["scope"] = ["0" if v == "x1" else v for v in c["scope"]]
+    path = tmp_path / "renamed.inst"
+    path.write_text(json.dumps(doc))
+    assert load_instance(path.read_text()).variables[0] == "0"
+    result = dispatch(["slac", str(path)])
+    assert result.exit_code == 0
+    assert "domain 0: 0 1" in result.stdout
+
+
+def test_gen_linsys_refuses_a_zero_sum_relation_above_the_guard(tmp_path):
+    eqs = tmp_path / "eqs.txt"
+    eqs.write_text("x0 + x1 = 1\n")
+    start = time.perf_counter()
+    result = dispatch(["gen", "linsys", "--p", "11", "--file", str(eqs)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: zero-sum relation over Z_11"), result.stderr
 
 
 def test_poly_command(magic_path):

@@ -218,6 +218,22 @@ def test_serialization_round_trip():
     assert UniPoly.from_obj(p.to_obj()) == p
 
 
+def test_from_obj_matches_reading_each_pair_as_a_fraction():
+    """Unreduced pairs, negative denominators and more coefficients than
+    phi(order) decode to the canonical element that Fraction reading gives."""
+    rng = random.Random(15)
+    for _ in range(500):
+        order = rng.randint(1, 12)
+        pairs = []
+        for _ in range(rng.randint(0, order + 3)):
+            k = rng.choice((1, 1, 2, 6)) * rng.choice((1, -1))
+            pairs.append([rng.randint(-9, 9) * k, rng.choice((1, 2, 3, 5, 12)) * k])
+        got = CycNum.from_obj({"order": order, "coeffs": pairs})
+        want = CycNum(order, [Fraction(n, d) for n, d in pairs])
+        assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+        assert got.to_obj() == want.to_obj()
+
+
 def test_from_obj_rejects_zero_denominator():
     with pytest.raises(ValueError, match="denominator is zero"):
         CycNum.from_obj({"order": 3, "coeffs": [[1, 2], [1, 0]]})

@@ -1,6 +1,7 @@
 """Magic square, Pauli fixture, and linear-system encodings."""
 
 import random
+import time
 from itertools import product
 
 import numpy as np
@@ -14,6 +15,7 @@ from opcsp.gap_instances import (
     magic_square,
     parse_linear_system,
     pauli_fixture,
+    ZSUM_GUARD,
     sum3_relation,
     zero_sum_relation,
 )
@@ -74,6 +76,18 @@ def test_zero_sum_relation_even_weight_for_p2():
     assert rel.tuples == frozenset(
         t for t in product(range(2), repeat=4) if sum(t) % 2 == 0
     )
+
+
+def test_zero_sum_relation_is_refused_above_the_guard():
+    """p^(p+1) tuples: 7^8 is within the guard, 11^12 is refused before any
+    tuple is built."""
+    assert 7 ** 8 <= ZSUM_GUARD < 11 ** 12
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="above the guard"):
+        zero_sum_relation(11)
+    with pytest.raises(ValueError, match="above the guard"):
+        linear_system_instance(LinearSystem(11, (((0, 1), (1, 1), 1),)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_single_equation_direct_encoding():

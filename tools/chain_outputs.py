@@ -52,14 +52,22 @@ as built and with one Bezout witness coefficient (a coefficient of `q`, or
 `c`) increased by 1, once for each coefficient of each witness; and the
 `CheckResult.describe()` text of every `check_certificate` call made while
 `tests/test_acceptance.py::test_criterion_2_refutations_and_certificates` and
-`tests/test_certificates.py` run.  It uses only API that the refactors of the
-chain path, of the DFT path and of the field representation keep, so the same
+`tests/test_certificates.py` run.
+
+Last, for every single-field type mutation (`helpers.type_mutations`) of the
+magic-square instance document, run through `slac`, `solve` and
+`poly --rel Rplus`, and of a pp-formula document, run through
+`reduce gadget`, it prints the outcome of `dispatch`: the exit code and the
+first stderr line, or `raised <exception class>` when `dispatch` raises.
+
+It uses only API that the refactors of the chain path, of the DFT path, of
+the field representation and of the document readers keep, so the same
 script runs on both sides of such a change:
 
     cd <checkout> && PYTHONPATH=src:tests python tools/chain_outputs.py > out.txt
     diff <old checkout>/out.txt <new checkout>/out.txt
 
-Takes about ten to twenty seconds.
+Takes about twenty to thirty seconds.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ import json
 import random
 import re
 import sys
+import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -79,9 +88,10 @@ import numpy as np
 import pytest
 
 from opcsp import certificates, consistency, reductions
+from opcsp.cli import dispatch
 from opcsp.certificates import build_certificate, check_certificate
 from opcsp.consistency import slac, slac_result_to_json
-from opcsp.csp_core import Relation, make_instance, serialize_instance
+from opcsp.csp_core import Relation, instance_to_obj, make_instance, serialize_instance
 from opcsp.cyclotomic import CycNum, UniPoly, embed, poly_ext_gcd
 from opcsp.fourier import (
     dom_difference_inverse,
@@ -119,6 +129,7 @@ from helpers import (
     collapse_mutations,
     linear_system_corpus,
     minimal_conflict_instance,
+    type_mutations,
 )
 
 SYSTEMS = {
@@ -440,6 +451,45 @@ def emit_witness_outputs():
             print(f"cycle d={d} {label} + 1: {check_certificate(inst, bad).describe()}")
 
 
+def dispatch_outcome(argv) -> str:
+    try:
+        result = dispatch(argv)
+    except Exception as exc:  # the outcome being recorded
+        return f"raised {type(exc).__name__}"
+    return f"exit {result.exit_code} {next(iter(result.stderr.splitlines()), '')}".rstrip()
+
+
+def emit_reader_outputs():
+    rels = {"neq": [(0, 1), (1, 0)], "eqd": [(0, 0), (1, 1)]}
+    gadget = make_instance(2, ["a", "b"], [(("a", "b"), "eqd")], rels)
+    formula = {
+        "arity": 2,
+        "exists": 1,
+        "atoms": [{"rel": "neq", "vars": [0, 2]}, {"rel": "neq", "vars": [2, 1]}],
+    }
+    with tempfile.TemporaryDirectory() as work:
+        inst_path, bad = f"{work}/gadget.inst", f"{work}/bad.json"
+        with open(inst_path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_instance(gadget))
+        cases = [
+            (instance_to_obj(magic_square()), {
+                "slac": ["slac", bad],
+                "solve": ["solve", bad],
+                "poly": ["poly", bad, "--rel", "Rplus"],
+            }),
+            (formula, {
+                "gadget": ["reduce", "gadget", inst_path, "--formula", bad, "--target", "eqd"],
+            }),
+        ]
+        for doc, commands in cases:
+            for where, value, mutated in type_mutations(doc):
+                with open(bad, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(mutated))
+                for label, argv in commands.items():
+                    outcome = dispatch_outcome(argv)
+                    print(f"reader {label} {list(where)} {json.dumps(value)}: {outcome}")
+
+
 class RecordChecks:
     """Wraps check_certificate at its module attribute before the test
     modules import it, and records every verdict."""
@@ -468,6 +518,7 @@ def main() -> int:
     emit_degenerate_outputs()
     emit_collapse_outputs()
     emit_witness_outputs()
+    emit_reader_outputs()
     recorder = RecordChecks()
     with redirect_stdout(sys.stderr):  # keep pytest's report, with its timings, off stdout
         code = pytest.main(
