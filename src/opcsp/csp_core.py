@@ -131,6 +131,10 @@ class Instance:
     language: Language
 
     def __post_init__(self):
+        if self.language.d != self.d:
+            raise InstanceFormatError(
+                f"language domain size {self.language.d} does not match instance domain size {self.d}"
+            )
         names = set(self.variables)
         if len(names) != len(self.variables):
             raise InstanceFormatError("duplicate variable name")

@@ -437,10 +437,6 @@ class UniPoly:
     def to_obj(self) -> dict:
         return {"coeffs": [c.to_obj() for c in self.coeffs]}
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "UniPoly":
-        return cls([CycNum.from_obj(c) for c in _list(_object(obj, "q")["coeffs"], "coeffs")])
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -143,15 +143,23 @@ def default_vars(r: int) -> tuple:
     return tuple(f"x{i}" for i in range(r))
 
 
-def circle_idft(table, n: int, r: int, order: int):
-    """Unnormalized inverse DFT on (Z_n)^r over Z[x]/(x^order - 1), n | order.
+DFT_GUARD = 10 ** 6
+
+
+def circle_idft(table, n: int, r: int, order: int) -> dict:
+    """Normalized inverse DFT on (Z_n)^r with values in Q(zeta_order), n | order.
 
     `table` maps points a to integer vectors read as sum_i c_i zeta_order^i
-    (zero-padded; absent points are zero).  Returns the exact numpy array
-    `hat` of shape (n,)*r + (order,) with hat[b] = sum_a table[a]
-    zeta_n^(-a.b), one axis at a time; a power of zeta_order is a cyclic
-    shift of a vector.
+    (zero-padded; absent points are zero).  Returns, for every b in (Z_n)^r
+    in lexicographic order, the coefficient sum_a table[a] zeta_n^(-a.b) / n^r
+    as a CycNum of order `order`, zeros included.  The sums are exact numpy
+    arrays of Python ints, one axis at a time; a power of zeta_order is a
+    cyclic shift of a vector.  A table of more than DFT_GUARD entries is
+    refused before it is allocated.
     """
+    den = n ** r
+    if den * order > DFT_GUARD:
+        raise ValueError(f"inverse DFT table of {n}^{r} x {order} entries is above the guard")
     import numpy as np
 
     step = order // n
@@ -164,30 +172,30 @@ def circle_idft(table, n: int, r: int, order: int):
         for b, x in product(range(n), repeat=2):
             out[b] += np.roll(src[x], -x * b * step % order, axis=-1)
         hat = np.moveaxis(out, 0, axis)
-    return hat
+    zero = CycNum._of(order, [0], 1)
+    rows = hat.reshape(-1, order).tolist()
+    return {
+        b: CycNum._of(order, row, den) if any(row) else zero
+        for b, row in zip(product(range(n), repeat=r), rows)
+    }
 
 
 def relation_polynomial(rel: Relation, variables=None) -> MultiPoly:
     """The unique per-variable-degree-<d polynomial taking lambda_0 on the
-    relation's tuples and lambda_1 off them.
-
-    Coefficients come from the inverse discrete Fourier transform on (Z_d)^r
-    with 1/d^r normalization, so evaluation reproduces the indicator exactly.
+    relation's tuples and lambda_1 off them: (1 - lambda_1) times the
+    normalized inverse DFT of the indicator, plus lambda_1 at the origin, so
+    evaluation reproduces the values exactly.
     """
     d, r = rel.d, rel.arity
     variables = default_vars(r) if variables is None else tuple(variables)
     if len(variables) != r:
         raise ValueError("variable list must match relation arity")
     lam1 = embed(1, d)
-    scale = CycNum.from_rational(Fraction(1, d ** r)) * (ONE - lam1)
-    counts = circle_idft({t: [1] for t in rel.tuples}, d, r, d)
-    terms: dict[tuple, CycNum] = {}
-    for b in product(range(d), repeat=r):
-        coeff = scale * CycNum(d, counts[b].tolist())
-        if b == (0,) * r:
-            coeff = coeff + lam1
-        if not coeff.is_zero():
-            terms[b] = coeff
+    scale = ONE - lam1
+    coeffs = circle_idft({t: [1] for t in rel.tuples}, d, r, d)
+    terms = {b: c * scale for b, c in coeffs.items() if not c.is_zero()}
+    origin = (0,) * r
+    terms[origin] = terms.get(origin, ZERO) + lam1
     return MultiPoly(d, variables, terms)
 
 

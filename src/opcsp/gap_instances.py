@@ -81,12 +81,15 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Equations sum(coeff_i * x_i) = rhs over Z_p, p prime."""
+    """Equations sum(coeff_i * x_i) = rhs over Z_p, p prime; p is refused
+    first if `zero_sum_relation(p)`, which the encoder needs, is above the
+    guard."""
 
     p: int
     equations: tuple  # of (variable index tuple, coefficient tuple, rhs)
 
     def __post_init__(self):
+        _check_zero_sum_guard(self.p)  # before the trial division, slow for large p
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         eqs = []
@@ -113,10 +116,14 @@ def sum3_relation(p: int, a: int) -> Relation:
     return Relation(3, p, tuples)
 
 
-def zero_sum_relation(p: int) -> Relation:
-    """x_1 + ... + x_{p+2} = 0 over Z_p: p^(p+1) tuples, refused above ZSUM_GUARD."""
+def _check_zero_sum_guard(p: int):
     if p > 1 and (p + 1) * math.log(p) > math.log(ZSUM_GUARD):  # logs, not a huge power
         raise ValueError(f"zero-sum relation over Z_{p} has {p}^{p + 1} tuples, above the guard")
+
+
+def zero_sum_relation(p: int) -> Relation:
+    """x_1 + ... + x_{p+2} = 0 over Z_p: p^(p+1) tuples, refused above ZSUM_GUARD."""
+    _check_zero_sum_guard(p)
     r = p + 2
     tuples = frozenset(
         t + ((-sum(t)) % p,) for t in product(range(p), repeat=r - 1)

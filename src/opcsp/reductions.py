@@ -8,8 +8,7 @@ transports that carry operator assignments across the last two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import lcm
 
 import numpy as np
@@ -24,7 +23,7 @@ from .csp_core import (
     full_relation,
     make_instance,
 )
-from .cyclotomic import CycNum, UniPoly, embed
+from .cyclotomic import UniPoly, embed
 from .fourier import circle_idft
 from .operators import (
     OperatorAssignment,
@@ -260,8 +259,7 @@ def _root_interpolant(powers: dict, n: int, d: int) -> UniPoly:
     the nodes absent from `powers`: one inverse DFT over zeta_lcm(n, d)."""
     order = lcm(n, d)
     units = {(k,): [0] * (j * order // d) + [1] for k, j in powers.items()}
-    hat = circle_idft(units, n, 1, order)
-    return UniPoly([CycNum(order, hat[j].tolist()) * Fraction(1, n) for j in range(n)])
+    return UniPoly(circle_idft(units, n, 1, order).values())
 
 
 def interpolate_map(pi: UnaryMap) -> UniPoly:
@@ -284,6 +282,13 @@ def indicator_interpolant(members, d: int) -> UniPoly:
 
 def transport_assignment(p: UniPoly, assignment: OperatorAssignment) -> OperatorAssignment:
     return assignment.map(lambda M: apply_unipoly_matrix(p, M))
+
+
+def _relabeled(inst: Instance, d: int, relations: dict, poly: UniPoly):
+    """The instance's constraints over `relations` on a d-element domain, and
+    the operator transport that applies `poly` to every operator."""
+    mapped = Instance(d, inst.variables, inst.constraints, Language(d, relations))
+    return mapped, lambda assignment: transport_assignment(poly, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +338,6 @@ def core(language: Language) -> tuple[UnaryMap, Language, UnaryMap]:
     return rho, Language(e, core_rels), relabel
 
 
-def section_of_core(language: Language, rho: UnaryMap) -> UnaryMap:
-    """Injective map 0..e-1 -> image of rho inverting the core relabeling."""
-    image = sorted(set(rho.table))
-    return UnaryMap(len(image), language.d, tuple(image))
-
-
 def core_instance(inst: Instance):
     """Relabel an instance onto the core of its language.
 
@@ -347,16 +346,9 @@ def core_instance(inst: Instance):
     by the rank bijection); it carries satisfying assignments to satisfying
     assignments because relations are closed under their endomorphisms.
     """
-    lang = Language(inst.d, dict(inst.language.relations))
-    rho, core_lang, relabel = core(lang)
-    mapped = make_instance(
-        core_lang.d,
-        inst.variables,
-        [(c.scope, c.rel) for c in inst.constraints],
-        dict(core_lang.relations),
-    )
+    _, core_lang, relabel = core(inst.language)
     poly = _root_interpolant(dict(enumerate(relabel.table)), inst.d, core_lang.d)
-    return mapped, lambda assignment: transport_assignment(poly, assignment)
+    return _relabeled(inst, core_lang.d, core_lang.relations, poly)
 
 
 def endomorphism_relation(language: Language) -> Relation:
@@ -433,12 +425,8 @@ def restrict_transport(inst: Instance, pi: UnaryMap):
         raise ValueError(f"instance domain {inst.d} does not match the map source {pi.d_from}")
     if not pi.is_injective():
         raise ValueError("restriction transport requires an injective map")
-    rels = {name: pi.apply_relation(inst.language[name]) for name in inst.language.relations}
-    mapped = make_instance(
-        pi.d_to, inst.variables, [(c.scope, c.rel) for c in inst.constraints], rels
-    )
-    poly = interpolate_map(pi)
-    return mapped, lambda assignment: transport_assignment(poly, assignment)
+    rels = {name: pi.apply_relation(rel) for name, rel in inst.language.relations.items()}
+    return _relabeled(inst, pi.d_to, rels, interpolate_map(pi))
 
 
 @dataclass(frozen=True)
@@ -480,28 +468,21 @@ class Congruence:
 
 def factor_transport(inst: Instance, theta: Congruence):
     """Pull an instance over the factor domain back through the congruence:
-    constraints become full preimage relations, and operator assignments are
+    constraints become full preimage relations, the union over a relation's
+    tuples of the products of their classes, and operator assignments are
     carried by the interpolant of the smallest-representative section."""
-    pi = theta.projection()
-    e = pi.d_to
-    if inst.d != e:
+    classes = theta.sorted_classes()
+    if inst.d != len(classes):
         raise ValueError(
-            f"instance domain {inst.d} does not match the {e} congruence classes"
+            f"instance domain {inst.d} does not match the {len(classes)} congruence classes"
         )
-    rels = {}
-    for name in inst.language.relations:
-        rel = inst.language[name]
-        preimage = frozenset(
-            t
-            for t in product(range(theta.d), repeat=rel.arity)
-            if pi.apply_tuple(t) in rel.tuples
-        )
-        rels[name] = Relation(rel.arity, theta.d, preimage)
-    mapped = make_instance(
-        theta.d, inst.variables, [(c.scope, c.rel) for c in inst.constraints], rels
-    )
-    poly = interpolate_map(theta.section())
-    return mapped, lambda assignment: transport_assignment(poly, assignment)
+    rels = {
+        name: Relation(rel.arity, theta.d, frozenset(
+            chain.from_iterable(product(*(classes[a] for a in t)) for t in rel.tuples)
+        ))
+        for name, rel in inst.language.relations.items()
+    }
+    return _relabeled(inst, theta.d, rels, interpolate_map(theta.section()))
 
 
 # ---------------------------------------------------------------------------

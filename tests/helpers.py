@@ -18,6 +18,7 @@ from opcsp.csp_core import (
 from opcsp.cyclotomic import CycNum, UniPoly, cyclotomic_int_coeffs, embed
 from opcsp.fourier import root_product
 from opcsp.gap_instances import LinearSystem, horn_language, shift_language, two_clause_language
+from opcsp.reductions import Congruence
 
 
 def random_language_instance(
@@ -90,6 +91,21 @@ def linear_system_corpus(seed: int, count: int, primes=(2, 3)):
             vs = tuple(sorted(counts))
             equations.append((vs, tuple(counts[v] for v in vs), rng.randrange(p)))
         out.append((f"seeded#{i} p={p}", LinearSystem(p, tuple(equations))))
+    return out
+
+
+def seeded_congruences(seed: int, classes: int, count: int, max_d: int = 7) -> list:
+    """`count` seeded partitions of 0..d-1 into `classes` classes, with
+    classes < d <= max_d and at least two distinct class sizes."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(classes + 1, max_d)
+        labels = list(range(classes)) + [rng.randrange(classes) for _ in range(d - classes)]
+        rng.shuffle(labels)
+        parts = tuple(frozenset(k for k in range(d) if labels[k] == c) for c in range(classes))
+        if len(set(map(len, parts))) > 1:
+            out.append(Congruence(d, parts))
     return out
 
 

@@ -410,12 +410,33 @@ def test_string_variable_names_are_read_as_they_are(tmp_path):
 def test_gen_linsys_refuses_a_zero_sum_relation_above_the_guard(tmp_path):
     eqs = tmp_path / "eqs.txt"
     eqs.write_text("x0 + x1 = 1\n")
-    start = time.perf_counter()
-    result = dispatch(["gen", "linsys", "--p", "11", "--file", str(eqs)])
-    assert time.perf_counter() - start < 1.0
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: zero-sum relation over Z_11"), result.stderr
+    # 100000000000031, the first prime above 10^14, is refused before trial
+    # division, which would take over a second
+    for p in (11, 100000000000031):
+        start = time.perf_counter()
+        result = dispatch(["gen", "linsys", "--p", str(p), "--file", str(eqs)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: zero-sum relation over Z_{p}"), result.stderr
+
+
+def test_poly_and_verify_ops_refuse_an_inverse_dft_above_the_guard(tmp_path):
+    """One tuple of arity 12 over d = 5 asks for a 5^12 x 5 table: refused
+    before it is allocated."""
+    variables = [f"x{i}" for i in range(12)]
+    inst = make_instance(5, variables, [(tuple(variables), "r")], {"r": [(0,) * 12]})
+    inst_path, ops_path = tmp_path / "wide.inst", tmp_path / "ones.ops"
+    inst_path.write_text(serialize_instance(inst))
+    ops = OperatorAssignment(1, {v: np.eye(1, dtype=complex) for v in variables})
+    ops_path.write_text(operator_assignment_to_json(ops))
+    for argv in (["poly", str(inst_path), "--rel", "r"], ["verify-ops", str(inst_path), str(ops_path)]):
+        start = time.perf_counter()
+        result = dispatch(argv)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2, result.stderr
+        assert result.stdout == ""
+        assert "inverse DFT table of 5^12 x 5 entries is above the guard" in result.stderr
 
 
 def test_poly_command(magic_path):

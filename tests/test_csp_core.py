@@ -9,7 +9,9 @@ from itertools import product
 import pytest
 
 from opcsp.csp_core import (
+    Instance,
     InstanceFormatError,
+    Language,
     Relation,
     brute_force_solve,
     instance_digest,
@@ -48,6 +50,12 @@ def test_empty_constraint_list_is_vacuously_satisfiable():
 def test_variable_free_instance_is_satisfied_by_the_empty_assignment():
     inst = make_instance(2, [], [], {"neq": [(0, 1), (1, 0)]})
     assert brute_force_solve(inst) == {}
+
+
+def test_instance_refuses_a_language_over_another_domain():
+    inst = magic_square()
+    with pytest.raises(InstanceFormatError, match="language domain size 3 does not match"):
+        Instance(inst.d, inst.variables, (), Language(3, {}))
 
 
 def test_load_rejects_bad_documents():

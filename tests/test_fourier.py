@@ -18,7 +18,7 @@ from opcsp.fourier import (
     root_product,
     rule_polynomial,
 )
-from opcsp.gap_instances import zero_sum_relation
+from opcsp.gap_instances import parity_relation, zero_sum_relation
 
 
 def poly_matches_relation(rel: Relation) -> bool:
@@ -34,24 +34,26 @@ def poly_matches_relation(rel: Relation) -> bool:
 
 
 def test_parity_relation_gives_monomial():
-    rel = Relation(3, 2, frozenset(t for t in product(range(2), repeat=3) if sum(t) % 2 == 0))
+    rel = parity_relation(0)
     p = relation_polynomial(rel)
     assert p.terms == {(1, 1, 1): CycNum.one()} or p == MultiPoly(2, p.vars, {(1, 1, 1): 1})
+    assert p.terms[(1, 1, 1)].order == 2
     assert poly_matches_relation(rel)
 
 
 def test_zero_sum_relation_spectrum_is_the_diagonal():
-    """The 7-ary Z_5 zero-sum relation (15,625 tuples): the Fourier sum over
-    a subgroup vanishes off its annihilator, the five vectors (j,...,j), and
-    is |R| = 5^6 on it, so each coefficient is (1 - lambda_1)/5, plus
-    lambda_1 at the origin."""
-    p = relation_polynomial(zero_sum_relation(5))
-    lam1 = embed(1, 5)
-    fifth = CycNum.from_rational(Fraction(1, 5)) * (ONE - lam1)
-    expected = {(j,) * 7: fifth + lam1 if j == 0 else fifth for j in range(5)}
-    assert set(p.terms) == set(expected)
-    for b, coeff in expected.items():
-        assert p.terms[b] == coeff and p.terms[b].order == 5
+    """The (d+2)-ary Z_d zero-sum relation (15,625 tuples for d = 5): the
+    Fourier sum over a subgroup vanishes off its annihilator, the d vectors
+    (j,...,j), and is |R| = d^(d+1) on it, so each coefficient is
+    (1 - lambda_1)/d, plus lambda_1 at the origin, all at order d."""
+    for d in (3, 5):
+        p = relation_polynomial(zero_sum_relation(d))
+        lam1 = embed(1, d)
+        share = CycNum.from_rational(Fraction(1, d)) * (ONE - lam1)
+        expected = {(j,) * (d + 2): share + lam1 if j == 0 else share for j in range(d)}
+        assert set(p.terms) == set(expected)
+        for b, coeff in expected.items():
+            assert p.terms[b] == coeff and p.terms[b].order == d
 
 
 def test_full_relation_is_constant_one():

@@ -18,6 +18,7 @@ from opcsp.csp_core import (
     make_instance,
 )
 from opcsp.cyclotomic import CycNum, UniPoly, embed
+from opcsp.gap_instances import linear_system_instance, magic_square, parse_linear_system
 from opcsp.operators import (
     OperatorAssignment,
     apply_unipoly_matrix,
@@ -49,7 +50,7 @@ from opcsp.reductions import (
     restrict_transport,
 )
 
-from helpers import iter_solutions
+from helpers import iter_solutions, seeded_congruences
 
 
 def eq_language(d=2) -> Language:
@@ -221,11 +222,9 @@ def test_core_collapses_unary_to_singleton():
 
 
 def test_section_of_core_inverts_relabel():
-    from opcsp.reductions import section_of_core
-
     lang = Language(3, {"b": Relation(1, 3, frozenset({(0,), (1,)}))})
     rho, core_lang, relabel = core(lang)
-    sec = section_of_core(lang, rho)
+    sec = UnaryMap(core_lang.d, lang.d, tuple(sorted(set(rho.table))))
     for k in range(core_lang.d):
         assert relabel(sec(k)) == k
         assert rho(sec(k)) == sec(k)  # idempotent map fixes its image
@@ -337,6 +336,9 @@ def test_indicator_interpolant_values():
         for k in range(d):
             expect = CycNum.one() if k in members else CycNum.zero()
             assert rho.eval(embed(k, d)) == expect
+    # (1 + x^2) / 2, its interior zero coefficient written at order 4 too
+    half, zero = {"order": 4, "coeffs": [[1, 2], [0, 1]]}, {"order": 4, "coeffs": [[0, 1], [0, 1]]}
+    assert indicator_interpolant({0, 2}, 4).to_obj() == {"coeffs": [half, zero, half]}
 
 
 def test_core_interpolant_takes_the_relabeled_root_at_every_node(monkeypatch):
@@ -423,6 +425,24 @@ def test_factor_transport_mod2_classes_over_u4():
     carried = transport(assignment)
     report = verify_assignment(mapped, carried, tol=1e-8)
     assert report.verdict == "SATISFYING" and report.max_residual < 1e-9
+
+
+def test_factor_transport_preimages_match_the_definition():
+    """Each pulled-back relation holds exactly the tuples over theta.d whose
+    classes form a tuple of the factor relation, found by scanning every
+    tuple, for seeded congruences with unequal class sizes."""
+    z3 = linear_system_instance(parse_linear_system("x0 + x1 + x2 = 1\nx0 + x3 = 2\n", 3))
+    for inst in (magic_square(), z3):
+        for theta in seeded_congruences(7, inst.d, 6):
+            mapped, _ = factor_transport(inst, theta)
+            pi = theta.projection()
+            assert mapped.d == theta.d and mapped.constraints == inst.constraints
+            for name, rel in inst.language.relations.items():
+                expected = {
+                    t for t in product(range(theta.d), repeat=rel.arity)
+                    if pi.apply_tuple(t) in rel.tuples
+                }
+                assert mapped.language[name].tuples == expected
 
 
 def test_congruence_validation():

@@ -37,7 +37,10 @@ Covers, as SHA-256 digests:
 - the interpolants that `restrict_transport`, `factor_transport` and
   `core_instance` apply on the magic square and instances derived from it,
   the mapped instance documents, and the JSON of the Pauli assignment carried
-  through each transport.
+  through each transport;
+- the mapped instance document and the interpolant of `factor_transport` on
+  the magic square and on a Z_3 system, for the seeded congruences of
+  `helpers.seeded_congruences` (unequal class sizes, theta.d <= 7).
 
 It also prints, in plain text, each `linear_ac` probe that `slac` makes on the
 bounded-width corpora: its verdict and its fact count, `len(result.store)`,
@@ -129,6 +132,7 @@ from helpers import (
     collapse_mutations,
     linear_system_corpus,
     minimal_conflict_instance,
+    seeded_congruences,
     type_mutations,
 )
 
@@ -247,6 +251,19 @@ def emit_dft_outputs():
             print(
                 f"magic {label} core poly={[digest(json.dumps(p.to_obj())) for p in polys]} "
                 f"ops={digest(operator_assignment_to_json(carried))}"
+            )
+    z3 = linear_system_instance(parse_linear_system(SYSTEMS["z3"][1], 3))
+    for name, inst in (("magic", magic), ("z3", z3)):
+        for theta in seeded_congruences(7, inst.d, 6):
+            mapped, polys, _ = transported(
+                lambda inst, theta=theta: reductions.factor_transport(inst, theta),
+                inst,
+                OperatorAssignment(1, {}),  # no operators: only the interpolant is recorded
+            )
+            print(
+                f"{name} seeded factor{[sorted(c) for c in theta.sorted_classes()]} "
+                f"inst={digest(serialize_instance(mapped))} "
+                f"poly={[digest(json.dumps(p.to_obj())) for p in polys]}"
             )
 
 
