@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 
 from .consistency import RefutationChain, SlacResult
-from .csp_core import Instance, _int, _list, _object, _str, instance_digest
+from .csp_core import Instance, _domain_size, _int, _list, _object, _str, instance_digest
 from .cyclotomic import CycNum, UniPoly, _int_poly_divmod, cyclotomic_int_coeffs
 from .fourier import dom_difference_inverse
 
@@ -63,11 +63,13 @@ class GapCertificate:
     def from_obj(cls, obj: dict, d: int | None = None) -> "GapCertificate":
         """Decode a certificate to be checked against an instance with domain
         size d (by default the certificate's own d).  Raises ValueError, before
-        any field arithmetic, when a witness coefficient's order is not a
-        positive divisor of d, and a ValueError subclass on a wrong shape."""
+        any section is decoded, when the certificate's d is above
+        DOMAIN_GUARD; before any field arithmetic, when a witness
+        coefficient's order is not a positive divisor of d; and a ValueError
+        subclass on a wrong shape."""
         if _object(obj, "top level").get("format") != FORMAT:
             raise ValueError(f"unsupported certificate format {obj.get('format')!r}")
-        cert_d = _int(obj["d"], "d")
+        cert_d = _domain_size(_int(obj["d"], "d"), "certificate domain size")
         d = cert_d if d is None else d
         return cls(
             _str(obj["digest"], "digest"),

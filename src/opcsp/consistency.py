@@ -41,9 +41,10 @@ def linear_ac(inst: Instance, domains: dict | None = None, *, pin: tuple) -> Lin
     lies in the (pin-adjusted) current domains.  Inconsistent as soon as some
     derivation comes out empty.
     """
-    eff = dict(domains) if domains is not None else full_domains(inst)
+    full = frozenset(range(inst.d))
+    eff = {} if domains is None else dict(domains)
     for v in inst.variables:
-        eff.setdefault(v, frozenset(range(inst.d)))
+        eff.setdefault(v, full)
     v, a = pin
     if v not in eff:
         raise ValueError(f"unknown pinned variable {v!r}")

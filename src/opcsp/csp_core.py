@@ -22,6 +22,15 @@ class InstanceFormatError(ValueError):
 
 
 BRUTE_FORCE_GUARD = 10 ** 8
+# Largest domain size d accepted by an instance, a unary map or a certificate,
+# checked before anything builds range(d)-sized sets or Phi_d.
+DOMAIN_GUARD = 1024
+
+
+def _domain_size(d: int, what: str = "domain size") -> int:
+    if d > DOMAIN_GUARD:
+        raise InstanceFormatError(f"{what} {d} is above the guard {DOMAIN_GUARD}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -131,6 +140,7 @@ class Instance:
     language: Language
 
     def __post_init__(self):
+        _domain_size(self.d)
         if self.language.d != self.d:
             raise InstanceFormatError(
                 f"language domain size {self.language.d} does not match instance domain size {self.d}"

@@ -6,8 +6,9 @@ Phi_L, and `den` is one positive integer with gcd(den, *num) == 1.  Working
 modulo Phi_L (rather than x^L - 1) keeps the carrier a field, and the lowest
 terms make the pair canonical: equal values at one order have equal fields,
 so equality is field equality after lifting both operands into Q(zeta_lcm).
-`coeffs` is the same vector as Fractions, and the wire format
-(`{"order": L, "coeffs": [[num, den], ...]}`) is written from it, unchanged.
+`to_obj` writes the wire format `{"order": L, "coeffs": [[num, den], ...]}`
+from num/den, each pair in lowest terms, at the order the value was computed
+at (so a rational value computed in Q(zeta_4) is written at order 4).
 This module never touches floating point except in `to_complex`.
 """
 
@@ -109,10 +110,9 @@ class CycNum:
     def _of(cls, order: int, num: list[int], den: int) -> "CycNum":
         return object.__new__(cls)._set(order, num, den)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficient vector modulo Phi_order, as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.num)
+    def _pairs(self) -> list[list[int]]:
+        # each coefficient num[i] / den as [numerator, denominator], in lowest terms
+        return [[c // (g := gcd(c, self.den)), self.den // g] for c in self.num]
 
     # -- constructors -------------------------------------------------
 
@@ -255,14 +255,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return Fraction(self.num[0], self.den)
-
     def to_complex(self) -> complex:
         L = self.order
         total = 0j
@@ -284,10 +276,7 @@ class CycNum:
     # -- serialization --------------------------------------------------
 
     def to_obj(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
-        }
+        return {"order": self.order, "coeffs": self._pairs()}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CycNum":
@@ -304,15 +293,11 @@ class CycNum:
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(f"z{self.order}^{i}")
-            else:
-                parts.append(f"{c}*z{self.order}^{i}")
+        for i, (n, k) in enumerate(self._pairs()):
+            if n:
+                c = str(n) if k == 1 else f"{n}/{k}"
+                z = f"z{self.order}^{i}"
+                parts.append(c if i == 0 else z if n == k == 1 else f"{c}*{z}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:

@@ -72,19 +72,22 @@ def _eval_terms(terms: tuple, arity: int, mats) -> np.ndarray:
     for exps, _ in terms:
         for j, e in enumerate(exps):
             top[j] = max(top[j], e)
-    powers = []
+    powers = []  # powers[j][e - 1] is mats[j]^e
     for M, m in zip(mats, top):
-        row = [np.eye(n, dtype=complex)]
-        for _ in range(m):
+        row = [M]
+        for _ in range(m - 1):
             row.append(row[-1] @ M)
         powers.append(row)
     out = np.zeros((n, n), dtype=complex)
     for exps, coeff in terms:
-        term = np.eye(n, dtype=complex) * coeff
+        term = None
         for j, e in enumerate(exps):
             if e:
-                term = term @ powers[j][e]
-        out += term
+                term = coeff * powers[j][e - 1] if term is None else term @ powers[j][e - 1]
+        if term is None:  # a constant term
+            out.flat[:: n + 1] += coeff
+        else:
+            out += term
     return out
 
 

@@ -18,7 +18,7 @@ from .csp_core import (
     Instance,
     Language,
     Relation,
-    _int, _list, _object, _str,
+    _domain_size, _int, _list, _object, _str,
     equality_relation,
     full_relation,
     make_instance,
@@ -226,6 +226,8 @@ class UnaryMap:
     table: tuple
 
     def __post_init__(self):
+        _domain_size(self.d_from, "source domain size")
+        _domain_size(self.d_to, "target domain size")
         if len(self.table) != self.d_from:
             raise ValueError("table must be total on the source domain")
         for v in self.table:

@@ -1,6 +1,8 @@
 """Certificate compilation and the independent exact checker."""
 
+import json
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -368,3 +370,18 @@ def test_chain_identities_hold_on_diagonal_models():
             assert fro(left @ right) <= 1e-8
         checked += 1
     assert checked >= 3
+
+
+def test_decoder_refuses_a_domain_above_the_guard():
+    """A d = 3 certificate edited to claim d = 4620, with a witness
+    coefficient of order 4620, is refused on its d before any section is
+    decoded; building Phi_4620 alone takes most of a second."""
+    inst = bounded_width_corpus(1234, 200)[97]
+    obj = build_certificate(inst, slac(inst)).to_obj()
+    obj["d"] = 4620
+    step = next(s for section in obj["sections"] for s in section["steps"] if "q" in s)
+    step["c"]["order"] = 4620
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="certificate domain size 4620 is above the guard 1024"):
+        GapCertificate.from_json(json.dumps(obj))
+    assert time.perf_counter() - start < 0.25

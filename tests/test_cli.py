@@ -439,6 +439,27 @@ def test_poly_and_verify_ops_refuse_an_inverse_dft_above_the_guard(tmp_path):
         assert "inverse DFT table of 5^12 x 5 entries is above the guard" in result.stderr
 
 
+def test_slac_and_reduce_refuse_a_domain_above_the_guard(tmp_path):
+    """A domain size above DOMAIN_GUARD exits 2 before anything builds a
+    range(d)-sized set or Phi_d."""
+    huge = tmp_path / "huge.inst"
+    huge.write_text(json.dumps({"d": 10 ** 9, "relations": {}, "variables": ["x"], "constraints": []}))
+    small = tmp_path / "small.inst"
+    small.write_text(serialize_instance(make_instance(3, ["x"], [], {})))
+    cases = [
+        (["slac", str(huge)], "domain size 1000000000 is above the guard 1024"),
+        (["reduce", "restrict", str(small), "--image", "0,1,2", "--dto", "30030"],
+         "target domain size 30030 is above the guard 1024"),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        result = dispatch(argv)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and message in result.stderr, result.stderr
+
+
 def test_poly_command(magic_path):
     result = dispatch(["poly", magic_path, "--rel", "Rminus"])
     assert result.exit_code == 0

@@ -46,7 +46,12 @@ def frac_poly_divmod(num, den):
 
 
 def as_fraction_list(p: UniPoly):
-    return [c.as_fraction() for c in p.coeffs]
+    assert not any(c.num[1:] for c in p.coeffs)  # every coefficient rational
+    return [Fraction(c.num[0], c.den) for c in p.coeffs]
+
+
+def fractions(v: CycNum) -> list:
+    return [Fraction(c, v.den) for c in v.num]
 
 
 def test_field_ops_trivial_examples():
@@ -234,6 +239,18 @@ def test_from_obj_matches_reading_each_pair_as_a_fraction():
         assert got.to_obj() == want.to_obj()
 
 
+def test_to_obj_and_str_write_each_coefficient_in_lowest_terms():
+    cases = [
+        (CycNum(4, [Fraction(1, 2), Fraction(-3, 4)]), [[1, 2], [-3, 4]], "1/2 + -3/4*z4^1"),
+        (CycNum(3, [Fraction(2, 4), 1]), [[1, 2], [1, 1]], "1/2 + z3^1"),
+        (CycNum(5, [0, 0, Fraction(6, 4)]), [[0, 1], [0, 1], [3, 2], [0, 1]], "3/2*z5^2"),
+        (CycNum(6, [Fraction(-10, 6)]), [[-5, 3], [0, 1]], "-5/3"),
+    ]
+    for v, pairs, text in cases:
+        assert v.to_obj() == {"order": v.order, "coeffs": pairs}
+        assert str(v) == text
+
+
 def test_from_obj_rejects_zero_denominator():
     with pytest.raises(ValueError, match="denominator is zero"):
         CycNum.from_obj({"order": 3, "coeffs": [[1, 2], [1, 0]]})
@@ -253,9 +270,9 @@ def test_field_against_sympy():
     def as_poly(v, L):
         # v lifted to order L: zeta_v.order^i = zeta_L^(i * L / v.order)
         step = L // v.order
-        dense = [sympy.Integer(0)] * (step * (len(v.coeffs) - 1) + 1)
-        for i, c in enumerate(v.coeffs):
-            dense[i * step] = sympy.Rational(c.numerator, c.denominator)
+        dense = [sympy.Integer(0)] * (step * (len(v.num) - 1) + 1)
+        for i, c in enumerate(v.num):
+            dense[i * step] = sympy.Rational(c, v.den)
         return sympy.Poly(list(reversed(dense)), x, domain="QQ")
 
     def as_fractions(p, L):
@@ -279,10 +296,10 @@ def test_field_against_sympy():
         a, b = rand_num(la), rand_num(lb)
         L = a.order * b.order // math.gcd(a.order, b.order)
         A, B, mod = as_poly(a, L), as_poly(b, L), phi(L)
-        assert list((a + b).lift(L).coeffs) == as_fractions((A + B).rem(mod), L)
-        assert list((a * b).lift(L).coeffs) == as_fractions((A * B).rem(mod), L)
+        assert fractions((a + b).lift(L)) == as_fractions((A + B).rem(mod), L)
+        assert fractions((a * b).lift(L)) == as_fractions((A * B).rem(mod), L)
         if not a.is_zero():
             inv = a.inverse()
             assert inv.order == a.order
             expected = sympy.invert(as_poly(a, la), phi(la))
-            assert list(inv.coeffs) == as_fractions(expected, la)
+            assert fractions(inv) == as_fractions(expected, la)

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from opcsp.csp_core import Relation, full_relation
-from opcsp.cyclotomic import ONE, CycNum, UniPoly, embed
+from opcsp.cyclotomic import ONE, ZERO, CycNum, UniPoly, embed
 from opcsp.fourier import (
     MultiPoly,
     complement,
@@ -79,7 +79,8 @@ def test_empty_relation_is_constant_lambda1():
 def test_round_trip_exhaustive_small_relations():
     def fingerprint(poly):
         return tuple(
-            (exps, coeff.order, coeff.coeffs) for exps, coeff in poly.sorted_terms()
+            (exps, coeff.order, tuple(Fraction(c, coeff.den) for c in coeff.num))
+            for exps, coeff in poly.sorted_terms()
         )
 
     for d in (2, 3):
@@ -241,6 +242,36 @@ def test_dom_difference_inverse_every_subset():
             assert not c.is_zero()
             p = dom_polynomial(S, d) - dom_polynomial(complement(S, d), d)
             assert ((p * q - UniPoly.constant(c)) % circle).is_zero()
+
+
+def dft_witness(S, d: int) -> tuple:
+    """The witness (q, c) of `dom_difference_inverse(S, d)` by the DFT
+    formula.  Over Q(zeta_d), Q(zeta_d)[x]/(x^d - 1) is Q(zeta_d)^d, so the
+    inverse q of p takes the value 1/p(zeta^k) at each root zeta^k, and its
+    coefficients are q_j = sum_k zeta^(-jk) / p(zeta^k) / d.  A constant p
+    keeps the witness (1, p_0), as `dom_difference_inverse` does."""
+    p = dom_polynomial(S, d) - dom_polynomial(complement(S, d), d)
+    if p.degree == 0:
+        return UniPoly.constant(1), p.coeffs[0]
+    inverses = [p.eval(embed(k, d)).inverse() for k in range(d)]
+    q = [sum((v * embed(-j * k, d) for k, v in enumerate(inverses)), ZERO) * Fraction(1, d)
+         for j in range(d)]
+    return UniPoly(q), ONE
+
+
+def test_dft_witness_equals_euclids():
+    """For every proper nonempty S with d <= 7 (240 sets) the DFT-formula
+    witness is the value Euclid's is.  Their wire forms can still differ:
+    a rational coefficient is written at the order it was computed at."""
+    count = 0
+    for d in range(2, 8):
+        for mask in range(1, 2 ** d - 1):
+            S = {k for k in range(d) if mask >> k & 1}
+            q, c = dft_witness(S, d)
+            want_q, want_c = dom_difference_inverse(S, d)
+            assert q == want_q and c == want_c, (d, S)
+            count += 1
+    assert count == 240
 
 
 def test_multipoly_eval_examples():
