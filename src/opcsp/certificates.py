@@ -23,13 +23,13 @@ established sets (the test suite expands the identity for d = 2..6).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import lcm
 
 from .consistency import RefutationChain, SlacResult
-from .csp_core import Instance, _domain_size, _int, _list, _object, _str, instance_digest
+from .csp_core import (Instance, _domain_size, _int, _list, _object, _str, instance_digest,
+                       read_document, write_document)
 from .cyclotomic import CycNum, UniPoly, _int_poly_divmod, cyclotomic_int_coeffs
 from .fourier import dom_difference_inverse
 
@@ -57,7 +57,7 @@ class GapCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=1)
+        return write_document(self.to_obj())
 
     @classmethod
     def from_obj(cls, obj: dict, d: int | None = None) -> "GapCertificate":
@@ -81,7 +81,7 @@ class GapCertificate:
 
     @classmethod
     def from_json(cls, text: str, d: int | None = None) -> "GapCertificate":
-        return cls.from_obj(json.loads(text), d)
+        return cls.from_obj(read_document(text), d)
 
 
 def _collapse_entry(e) -> tuple:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -228,10 +227,10 @@ def _transport(args, transport) -> None:
 
 
 def _reduce_gadget(reductions, inst, args):
-    formula = reductions.PPFormula.from_obj(json.loads(_read(args.formula)))
+    formula = reductions.PPFormula.from_obj(csp_core.read_document(_read(args.formula)))
     mapped = reductions.gadgetize(inst, formula, args.target)
     return mapped, lambda assignment: reductions.lift_assignment(
-        inst, formula, args.target, mapped, assignment, seed=args.seed
+        inst, formula, args.target, assignment, seed=args.seed
     )
 
 

@@ -11,10 +11,10 @@ compiler needs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .csp_core import Instance, InstanceFormatError, _int, _list, _object, _str
+from .csp_core import (Instance, InstanceFormatError, _int, _list, _object, _str,
+                       read_document, write_document)
 from .cyclotomic import CycNum, UniPoly
 
 
@@ -219,13 +219,13 @@ def slac_result_to_obj(result: SlacResult) -> dict:
 
 
 def slac_result_to_json(result: SlacResult) -> str:
-    return json.dumps(slac_result_to_obj(result), sort_keys=True, indent=1)
+    return write_document(slac_result_to_obj(result))
 
 
 def slac_result_from_json(text: str, d: int) -> SlacResult:
     """Read a trace document of an instance with domain size d; raises
     ValueError on a wrong shape or a witness order that does not divide d."""
-    obj = _object(json.loads(text), "top level")
+    obj = _object(read_document(text), "top level")
     chains = {}
     for entry in _list(obj["chains"], "chains"):
         key = (_str(_object(entry, "a chains entry")["var"], "var"), _int(entry["value"], "value"))

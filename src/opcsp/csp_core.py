@@ -214,7 +214,7 @@ def instance_to_obj(inst: Instance) -> dict:
 
 
 def serialize_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_obj(inst), sort_keys=True, indent=1)
+    return write_document(instance_to_obj(inst))
 
 
 def instance_digest(inst: Instance) -> str:
@@ -257,11 +257,20 @@ def _object(x, what: str, keys: tuple = ()) -> dict:
     return x
 
 
-def load_instance(document: str) -> Instance:
+def read_document(text: str):
+    """The JSON value of a document; malformed JSON raises InstanceFormatError."""
     try:
-        obj = json.loads(document)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"malformed document: {exc}") from exc
+
+
+def write_document(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+def load_instance(document: str) -> Instance:
+    obj = read_document(document)
     _object(obj, "top level", ("d", "relations", "variables", "constraints"))
     d = _int(obj["d"], "d", 1)
     rels = {}

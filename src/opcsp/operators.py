@@ -8,15 +8,15 @@ Exact CycNum coefficients cross into complex doubles only here.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from .csp_core import Instance, InstanceFormatError, Relation, _int, _list, _object, _real
+from .csp_core import (Instance, InstanceFormatError, Relation, _int, _list, _object, _real,
+                       read_document, write_document)
 from .cyclotomic import UniPoly, embed
 from .fourier import MultiPoly, relation_polynomial
 
@@ -156,7 +156,7 @@ def operator_assignment_to_obj(A: OperatorAssignment) -> dict:
 
 
 def operator_assignment_to_json(A: OperatorAssignment) -> str:
-    return json.dumps(operator_assignment_to_obj(A), sort_keys=True, indent=1)
+    return write_document(operator_assignment_to_obj(A))
 
 
 def operator_assignment_from_obj(obj) -> OperatorAssignment:
@@ -181,7 +181,7 @@ def operator_assignment_from_obj(obj) -> OperatorAssignment:
 
 
 def operator_assignment_from_json(text: str) -> OperatorAssignment:
-    return operator_assignment_from_obj(json.loads(text))
+    return operator_assignment_from_obj(read_document(text))
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +191,19 @@ def operator_assignment_from_json(text: str) -> OperatorAssignment:
 @dataclass
 class VerificationReport:
     tol: float
-    normality: list = field(default_factory=list)  # (var, normality res, order res)
-    commutation: list = field(default_factory=list)  # (constraint idx, u, w, res)
-    polynomial: list = field(default_factory=list)  # (constraint idx, res)
-
-    def _residuals(self):
-        """(label, residual) for every check, in report order."""
-        for v, a, b in self.normality:
-            yield f"normality {v}", a
-            yield f"order {v}", b
-        for ci, u, w, r in self.commutation:
-            yield f"commutation c{ci} {u},{w}", r
-        for ci, r in self.polynomial:
-            yield f"polynomial c{ci}", r
+    checks: list = field(default_factory=list)  # (report line, ((label, residual), ...))
 
     @property
     def worst_offender(self) -> tuple[str, float]:
         """The largest residual and its label; the first NaN or inf outranks
         every finite residual."""
         label, worst = "none", 0.0
-        for name, r in self._residuals():
-            if not math.isfinite(r):
-                return name, r
-            if r > worst:
-                label, worst = name, r
+        for _, residuals in self.checks:
+            for name, r in residuals:
+                if not math.isfinite(r):
+                    return name, r
+                if r > worst:
+                    label, worst = name, r
         return label, worst
 
     @property
@@ -226,17 +215,13 @@ class VerificationReport:
         return "SATISFYING" if self.max_residual <= self.tol else "VIOLATING"
 
     def lines(self) -> list[str]:
-        out = [f"tol: {self.tol:g}"]
-        for v, a, b in self.normality:
-            out.append(f"normal {v} {a:.3e} {b:.3e}")
-        for ci, u, w, r in self.commutation:
-            out.append(f"commute c{ci} {u} {w} {r:.3e}")
-        for ci, r in self.polynomial:
-            out.append(f"poly c{ci} {r:.3e}")
         label, worst = self.worst_offender
-        out.append(f"worst: {label} {worst:.3e}")
-        out.append(f"verdict: {self.verdict}")
-        return out
+        return [
+            f"tol: {self.tol:g}",
+            *(line for line, _ in self.checks),
+            f"worst: {label} {worst:.3e}",
+            f"verdict: {self.verdict}",
+        ]
 
 
 def verify_assignment(inst: Instance, A: OperatorAssignment, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -249,16 +234,16 @@ def verify_assignment(inst: Instance, A: OperatorAssignment, tol: float = DEFAUL
         if v not in A.assign:
             raise KeyError(f"assignment is missing variable {v!r}")
         a, b = check_normal_order(A[v], inst.d)
-        report.normality.append((v, a, b))
+        report.checks.append((f"normal {v} {a:.3e} {b:.3e}",
+                              ((f"normality {v}", a), (f"order {v}", b))))
     for ci, c in enumerate(inst.constraints):
-        mats = [A[v] for v in c.scope]
-        for i in range(len(c.scope)):
-            for j in range(i + 1, len(c.scope)):
-                res = commutator_norm(mats[i], mats[j])
-                report.commutation.append((ci, c.scope[i], c.scope[j], res))
+        for u, w in combinations(c.scope, 2):
+            r = commutator_norm(A[u], A[w])
+            report.checks.append((f"commute c{ci} {u} {w} {r:.3e}", ((f"commutation c{ci} {u},{w}", r),)))
+    for ci, c in enumerate(inst.constraints):
         rel = inst.language[c.rel]
-        value = _eval_terms(_relation_terms(rel), rel.arity, mats)
-        report.polynomial.append((ci, fro(value - np.eye(A.dim))))
+        r = fro(_eval_terms(_relation_terms(rel), rel.arity, [A[v] for v in c.scope]) - np.eye(A.dim))
+        report.checks.append((f"poly c{ci} {r:.3e}", ((f"polynomial c{ci}", r),)))
     return report
 
 
@@ -309,8 +294,11 @@ def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
     part can split the block.  Only blocks that fail this test, which happens
     when the combination's eigenvalues collide, are split further on the
     eigenvalues of each part in turn.
-    Raises if the inputs fail commutation or normality beyond tol, or hold
-    NaN or inf.
+
+    With s = max(1, max_i |A_i|_F), raises ValueError if an input holds NaN
+    or inf, if an input is not normal within tol*s^2, or unless U diagonalizes
+    every input within tol*s, |U A_i U^-1 - diags_i|_F <= tol*s: that is how
+    a family that does not commute shows.
     """
     mats = [_as_matrix(M) for M in mats]
     if not mats:
@@ -322,20 +310,12 @@ def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
         if not np.isfinite(M).all():
             raise ValueError(f"matrix {i} has a NaN or inf entry")
     scale = max(1.0, max(fro(M) for M in mats))
-    bound = tol * scale * scale
     for i, M in enumerate(mats):
         # `not <=`, so that a residual that overflows to NaN fails too
-        if not fro(M @ M.conj().T - M.conj().T @ M) <= bound:
+        if not fro(M @ M.conj().T - M.conj().T @ M) <= tol * scale * scale:
             raise ValueError(f"matrix {i} is not normal within tolerance")
-        for j in range(i + 1, len(mats)):
-            if not commutator_norm(M, mats[j]) <= bound:
-                raise ValueError(f"matrices {i} and {j} do not commute within tolerance")
 
-    herms: list[np.ndarray] = []
-    for M in mats:
-        H, K = _hermitian_parts(M)
-        herms.append(H)
-        herms.append(K)
+    herms = [P for M in mats for P in _hermitian_parts(M)]  # H_0, K_0, H_1, K_1, ...
     rng = np.random.default_rng(seed)
     mix = sum(float(c) * H for c, H in zip(rng.standard_normal(len(herms)), herms))
 
@@ -358,13 +338,19 @@ def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
             out.extend(blk[g] for g in _cluster(w, tol_h))
         return out
 
+    def split(T: np.ndarray) -> tuple[np.ndarray, float]:
+        """T's diagonal as a matrix, and the norm of the rest (zeroed in T)."""
+        D = np.diag(np.diag(T))
+        np.fill_diagonal(T, 0)
+        return D, fro(T)
+
     blocks = refine([np.arange(n)], mix)
     # A_i compressed to a block is C_H + i C_K, the compressions of its parts,
     # and |C - tr(C)/k I| >= |C_H - tr(C_H)/k I| >= g / sqrt(2) for an
     # eigenvalue gap g of C_H (likewise C_K).  So within half the smaller part
     # tolerance, no gap exceeds it, and refining on a part would not split.
     U = basis.conj().T
-    diags, failed = [], []
+    splits, failed = [], []
     pending = [blk for blk in blocks if len(blk) > 1]
     for M, H, K in zip(mats, herms[0::2], herms[1::2]):
         half = min(ctol(H), ctol(K)) / 2
@@ -375,13 +361,17 @@ def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
             C[np.diag_indices(len(blk))] -= np.trace(C) / len(blk)
             (scalar if fro(C) <= half else failed).append(blk)
         pending = scalar
-        diags.append(np.diag(np.diag(T)))
+        splits.append(split(T))
     if failed:
         for H in herms:
             failed = refine(failed, H)
         U = basis.conj().T
-        diags = [np.diag(np.diag(U @ M @ basis)) for M in mats]
-    return U, diags
+        splits = [split(U @ M @ basis) for M in mats]
+    # checked only on the final U: a failed block is not diagonal before the fallback
+    for i, (_, off) in enumerate(splits):
+        if not off <= tol * scale:
+            raise ValueError(f"matrix {i} does not commute with the others within tolerance")
+    return U, [D for D, _ in splits]
 
 
 # ---------------------------------------------------------------------------

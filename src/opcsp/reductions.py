@@ -26,6 +26,7 @@ from .csp_core import (
 from .cyclotomic import UniPoly, embed
 from .fourier import circle_idft
 from .operators import (
+    DEFAULT_TOL,
     OperatorAssignment,
     apply_unipoly_matrix,
     root_value,
@@ -495,9 +496,8 @@ def lift_assignment(
     inst: Instance,
     formula: PPFormula,
     target: str,
-    gadget: Instance,
     assignment: OperatorAssignment,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> OperatorAssignment:
     """Extend a satisfying operator assignment of an instance to the gadget

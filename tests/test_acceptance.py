@@ -236,7 +236,7 @@ def test_criterion_5_pp_reduction_equivalence():
         if not sols:
             continue
         diag = embed_classical(sols, inst.d)
-        lifted = lift_assignment(inst, formula, "tgt", expanded, diag)
+        lifted = lift_assignment(inst, formula, "tgt", diag)
         rep = verify_assignment(expanded, lifted, tol=1e-8)
         assert rep.verdict == "SATISFYING" and rep.max_residual < 1e-8
         # commutativity pads over the original scopes, then restriction back

@@ -313,6 +313,84 @@ def test_tampered_set_rejected():
     assert not verdict.accepted
 
 
+def _steps(obj: dict, k: int) -> list:
+    return obj["sections"][k]["steps"]
+
+
+def _witness_on_step_1(obj: dict) -> None:
+    """Copies section 2's step-0 witness onto its step 1, the last one."""
+    steps = _steps(obj, 2)
+    steps[1].update(q=steps[0]["q"], c=steps[0]["c"])
+
+
+def _witness_before_the_last_step(obj: dict) -> None:
+    """Section 2 becomes step 0, step 1 with step 0's witness, step 1."""
+    steps = _steps(obj, 2)
+    steps.append(dict(steps[1]))
+    _witness_on_step_1(obj)
+
+
+REJECT_EDITS = {
+    "repeated section": (
+        lambda o: o["sections"].insert(1, o["sections"][0]),
+        "REJECT at section:1: value 0 already excluded for 'v0'",
+    ),
+    "constraint index": (
+        lambda o: _steps(o, 0)[0].update(constraint=4),
+        "REJECT at section:0:step:0: no constraint with index 4",
+    ),
+    "position": (
+        lambda o: _steps(o, 0)[0].update(src_pos=9),
+        "REJECT at section:0:step:0: position outside the constraint scope",
+    ),
+    "source position": (
+        lambda o: _steps(o, 2)[0].update(src_pos=1),
+        "REJECT at section:2:step:0: source position does not carry the current variable",
+    ),
+    "target position": (
+        lambda o: _steps(o, 2)[0].update(tgt_pos=0),
+        "REJECT at section:2:step:0: target position does not carry the step variable",
+    ),
+    "last step dropped": (
+        lambda o: _steps(o, 2).pop(),
+        "REJECT at section:2:step:0: chain does not terminate in the empty set",
+    ),
+    "terminal witness": (
+        _witness_on_step_1,
+        "REJECT at section:2:step:1: terminal step must not carry a witness",
+    ),
+    "empty set before the end": (
+        _witness_before_the_last_step,
+        "REJECT at section:2:step:1: non-terminal step derived the empty set",
+    ),
+    "witness missing": (
+        lambda o: [_steps(o, 2)[0].pop(k) for k in ("q", "c")],
+        "REJECT at section:2:step:0: missing Bezout witness",
+    ),
+    "domain size": (
+        lambda o: o.update(d=2),
+        "REJECT at domain: certificate domain size 2 != instance 3",
+    ),
+    "duplicate base entry": (
+        lambda o: o["collapse"][0]["base"].append(o["collapse"][0]["base"][0]),
+        "REJECT at collapse:0: duplicate entries in the base set",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(REJECT_EDITS))
+def test_each_reject_branch_names_its_field(edit):
+    """One field edit of a d = 3 certificate (sections of 1, 1 and 2 steps,
+    3 collapse entries) per reject branch of the checker, with its exact
+    verdict text."""
+    inst = bounded_width_corpus(1234, 200)[97]
+    obj = build_certificate(inst, slac(inst)).to_obj()
+    assert [len(sec["steps"]) for sec in obj["sections"]] == [1, 1, 2]
+    change, expected = REJECT_EDITS[edit]
+    change(obj)
+    assert check_certificate(inst, GapCertificate.from_obj(obj, inst.d)).describe() == expected
+
+
 def test_wrong_instance_digest_rejected():
     inst = minimal_conflict_instance()
     cert, _ = certify(inst)

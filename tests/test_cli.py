@@ -322,6 +322,24 @@ def test_audit_malformed_document_exits_two(tmp_path, label):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["audit", "--check"],
+    ["audit", "--trace"],
+    ["verify-ops"],
+    ["reduce", "gadget", "--target", "Rplus", "--formula"],
+])
+def test_truncated_document_is_malformed(magic_path, tmp_path, command):
+    """Every document a command reads reports broken JSON as the instance
+    reader does."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"d": 3,')
+    name = 2 if command[0] == "reduce" else 1
+    result = dispatch(command[:name] + [magic_path] + command[name:] + [str(bad)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: malformed document: "), result.stderr
+    assert result.stdout == ""
+
+
 def _reader_cases(tmp_path):
     """(label -> (document, argv with "BAD" where the mutated document goes)):
     the magic square through `slac`, `solve` and `poly`, and a pp-formula

@@ -229,6 +229,15 @@ def test_simultaneous_diagonalize_rejects_non_commuting():
         simultaneous_diagonalize([X, Z])
 
 
+def test_simultaneous_diagonalize_rejects_a_family_it_cannot_diagonalize():
+    """|[A1, A2]|_F = 1.41e-8 is within tol*s^2 = 2e-8, but no unitary
+    diagonalizes both within tol*s = 1.41e-8: the best one found leaves
+    residuals of 7.1e-6 and 1.4e-6."""
+    A1, A2 = np.diag([1, 1 + 1e-5]), 1e-3 * X
+    with pytest.raises(ValueError, match="matrix 0 does not commute with the others within tolerance"):
+        simultaneous_diagonalize([A1, A2])
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
 def test_simultaneous_diagonalize_rejects_non_finite(entry):
     bad = Z.copy()

@@ -465,7 +465,7 @@ def test_lift_and_restrict_operator_assignments():
     assert sols
     assignment = embed_classical(sols[:2], 2)
     expanded = gadgetize(inst, formula, "eqd")
-    lifted = lift_assignment(inst, formula, "eqd", expanded, assignment)
+    lifted = lift_assignment(inst, formula, "eqd", assignment)
     report = verify_assignment(expanded, lifted, tol=1e-8)
     assert report.verdict == "SATISFYING" and report.max_residual < 1e-8
     # restriction direction on a padded instance
@@ -527,7 +527,7 @@ def test_lift_assignment_with_entangled_inputs():
     rotated = diag.map(lambda M: U @ M @ U.conj().T)
     assert verify_assignment(inst, rotated).verdict == "SATISFYING"
     expanded = gadgetize(inst, formula, "eqd")
-    lifted = lift_assignment(inst, formula, "eqd", expanded, rotated)
+    lifted = lift_assignment(inst, formula, "eqd", rotated)
     report = verify_assignment(expanded, lifted, tol=1e-8)
     assert report.verdict == "SATISFYING"
 
@@ -550,7 +550,7 @@ def test_lift_assignment_depends_only_on_joint_eigenspaces():
         V = random_unitary(dim, rng)
         rotated = embed_classical(drawn, 2).map(lambda M: V @ M @ V.conj().T)
         expanded = gadgetize(inst, formula, "eqd")
-        lifted = lift_assignment(inst, formula, "eqd", expanded, rotated, seed=dim)
+        lifted = lift_assignment(inst, formula, "eqd", rotated, seed=dim)
         assert verify_assignment(expanded, lifted).verdict == "SATISFYING"
         for ci, (x, y) in enumerate(scopes):
             reference = np.zeros((dim, dim), dtype=complex)

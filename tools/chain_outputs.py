@@ -70,15 +70,28 @@ script runs on both sides of such a change:
     cd <checkout> && PYTHONPATH=src:tests python tools/chain_outputs.py > out.txt
     diff <old checkout>/out.txt <new checkout>/out.txt
 
-Takes about twenty to thirty seconds.
+or, in one command, against a git revision REV of this repository:
+
+    PYTHONPATH=src:tests python tools/chain_outputs.py --base REV
+
+which exports REV with `git archive` into a temporary directory (as
+`tools/bench_record.py` does), runs each tree's own copy of this script from
+that tree's root with PYTHONPATH=src:tests, prints a unified diff of the two
+outputs and exits 1 if they differ, 0 if not.
+
+Takes about twenty to thirty seconds per tree.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -86,6 +99,7 @@ from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +141,7 @@ from opcsp.reductions import (
     lift_assignment,
 )
 
+from bench_record import ROOT, export
 from helpers import (
     bounded_width_corpus,
     collapse_mutations,
@@ -413,7 +428,7 @@ def emit_degenerate_outputs():
         drawn = [solutions[k] for k in rng.integers(len(solutions), size=dim)]
         V = random_unitary(dim, rng)
         rotated = embed_classical(drawn, 2).map(lambda M: V @ M @ V.conj().T)
-        lifted = lift_assignment(inst, formula, "eqd", expanded, rotated)
+        lifted = lift_assignment(inst, formula, "eqd", rotated)
         # the carried operators depend on the eigenbasis only through the
         # projectors onto joint eigenspaces; their rounding-level residuals,
         # and so the worst of them, depend on the basis inside each space
@@ -526,7 +541,30 @@ class RecordChecks:
         self.current = item.nodeid
 
 
-def main() -> int:
+def outputs_of(tree: Path) -> str:
+    """The stdout of `tree`'s own copy of this script, run from `tree`."""
+    env = dict(os.environ, PYTHONPATH="src:tests")
+    return subprocess.run([sys.executable, "tools/chain_outputs.py"], cwd=tree, env=env,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def compare(rev: str) -> int:
+    """Diff the outputs of revision `rev` against those of this checkout."""
+    with tempfile.TemporaryDirectory() as work:
+        commit = export(rev, Path(work))
+        old = outputs_of(Path(work))
+    new = outputs_of(ROOT)
+    sys.stdout.writelines(difflib.unified_diff(
+        old.splitlines(keepends=True), new.splitlines(keepends=True), commit[:12], "working tree"))
+    return int(old != new)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", metavar="REV", help="diff against the outputs of this git revision")
+    args = parser.parse_args(argv)
+    if args.base:
+        return compare(args.base)
     emit_outputs()
     emit_dft_outputs()
     emit_field_outputs()
