@@ -222,8 +222,7 @@ def _transport(args, transport) -> None:
     src, dst = args.transport_ops
     assignment = operators.operator_assignment_from_json(_read(src))
     carried = transport(assignment)
-    with open(dst, "w", encoding="utf-8") as fh:
-        fh.write(operators.operator_assignment_to_json(carried) + "\n")
+    _emit(operators.operator_assignment_to_json(carried), dst)
 
 
 def _reduce_gadget(reductions, inst, args):

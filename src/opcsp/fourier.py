@@ -154,14 +154,14 @@ def circle_idft(table, n: int, r: int, order: int) -> dict:
     in lexicographic order, the coefficient sum_a table[a] zeta_n^(-a.b) / n^r
     as a CycNum of order `order`, zeros included.  The sums are exact numpy
     arrays of Python ints, one axis at a time; a power of zeta_order is a
-    cyclic shift of a vector.  A table of more than DFT_GUARD entries is
-    refused before it is allocated.
+    cyclic shift of a vector.  A table of more than DFT_GUARD entries, or of
+    rank r >= DFT_GUARD.bit_length(), is refused before n^r is computed.
     """
-    den = n ** r
-    if den * order > DFT_GUARD:
+    if r >= DFT_GUARD.bit_length() or n ** r * order > DFT_GUARD:
         raise ValueError(f"inverse DFT table of {n}^{r} x {order} entries is above the guard")
     import numpy as np
 
+    den = n ** r
     step = order // n
     hat = np.zeros((n,) * r + (order,), dtype=object)  # Python ints: exact
     for a, vec in table.items():
@@ -187,12 +187,12 @@ def relation_polynomial(rel: Relation, variables=None) -> MultiPoly:
     evaluation reproduces the values exactly.
     """
     d, r = rel.d, rel.arity
+    coeffs = circle_idft({t: [1] for t in rel.tuples}, d, r, d)
     variables = default_vars(r) if variables is None else tuple(variables)
     if len(variables) != r:
         raise ValueError("variable list must match relation arity")
     lam1 = embed(1, d)
     scale = ONE - lam1
-    coeffs = circle_idft({t: [1] for t in rel.tuples}, d, r, d)
     terms = {b: c * scale for b, c in coeffs.items() if not c.is_zero()}
     origin = (0,) * r
     terms[origin] = terms.get(origin, ZERO) + lam1

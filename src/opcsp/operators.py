@@ -288,12 +288,10 @@ def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
     Returns (U, diags) with U unitary, U A_i U^-1 = diags_i.  Splits the
     space into blocks on the eigenvalues of a random real combination of the
     Hermitian and anti-Hermitian parts; a generic combination already
-    separates distinct joint eigenvalue tuples.  Then tests each block of
-    size > 1 against every input matrix: where U A_i U^-1 restricted to the
-    block is scalar within half the clustering tolerance of A_i's parts, no
-    part can split the block.  Only blocks that fail this test, which happens
-    when the combination's eigenvalues collide, are split further on the
-    eigenvalues of each part in turn.
+    separates distinct joint eigenvalue tuples.  If U then fails the final
+    check below, which happens only when the combination's eigenvalues
+    collide, every block is split further on the eigenvalues of each part in
+    turn.
 
     With s = max(1, max_i |A_i|_F), raises ValueError if an input holds NaN
     or inf, if an input is not normal within tol*s^2, or unless U diagonalizes
@@ -319,13 +317,10 @@ def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
     rng = np.random.default_rng(seed)
     mix = sum(float(c) * H for c, H in zip(rng.standard_normal(len(herms)), herms))
 
-    def ctol(H: np.ndarray) -> float:
-        return max(tol, 1e-12) * max(1.0, fro(H))
-
     basis = np.eye(n, dtype=complex)
 
     def refine(blocks: list, H: np.ndarray) -> list:
-        out, tol_h = [], ctol(H)
+        out, tol_h = [], max(tol, 1e-12) * max(1.0, fro(H))
         for blk in blocks:
             if len(blk) == 1:
                 out.append(blk)
@@ -345,33 +340,15 @@ def simultaneous_diagonalize(mats, tol: float = DEFAULT_TOL, seed: int = 0):
         return D, fro(T)
 
     blocks = refine([np.arange(n)], mix)
-    # A_i compressed to a block is C_H + i C_K, the compressions of its parts,
-    # and |C - tr(C)/k I| >= |C_H - tr(C_H)/k I| >= g / sqrt(2) for an
-    # eigenvalue gap g of C_H (likewise C_K).  So within half the smaller part
-    # tolerance, no gap exceeds it, and refining on a part would not split.
-    U = basis.conj().T
-    splits, failed = [], []
-    pending = [blk for blk in blocks if len(blk) > 1]
-    for M, H, K in zip(mats, herms[0::2], herms[1::2]):
-        half = min(ctol(H), ctol(K)) / 2
-        T = U @ M @ basis
-        scalar = []
-        for blk in pending:
-            C = T[np.ix_(blk, blk)]
-            C[np.diag_indices(len(blk))] -= np.trace(C) / len(blk)
-            (scalar if fro(C) <= half else failed).append(blk)
-        pending = scalar
-        splits.append(split(T))
-    if failed:
+    splits = [split(basis.conj().T @ M @ basis) for M in mats]
+    if not all(off <= tol * scale for _, off in splits):
         for H in herms:
-            failed = refine(failed, H)
-        U = basis.conj().T
-        splits = [split(U @ M @ basis) for M in mats]
-    # checked only on the final U: a failed block is not diagonal before the fallback
+            blocks = refine(blocks, H)
+        splits = [split(basis.conj().T @ M @ basis) for M in mats]
     for i, (_, off) in enumerate(splits):
         if not off <= tol * scale:
             raise ValueError(f"matrix {i} does not commute with the others within tolerance")
-    return U, [D for D, _ in splits]
+    return basis.conj().T, [D for D, _ in splits]
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def pp_evaluate(formula: PPFormula, language: Language) -> Relation:
     """Models of the formula over the language's domain, by brute force."""
     d = language.d
     r, s = formula.arity, formula.exist
-    if d ** (r + s) > PP_GUARD:
+    if r + s >= PP_GUARD.bit_length() or d ** (r + s) > PP_GUARD:
         raise ValueError("pp evaluation space exceeds the guard")
     for atom in formula.atoms:
         if atom.rel != EQUALITY:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opcsp.cli import dispatch
 from opcsp.csp_core import load_instance, make_instance, serialize_instance
@@ -476,6 +477,84 @@ def test_slac_and_reduce_refuse_a_domain_above_the_guard(tmp_path):
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error: ") and message in result.stderr, result.stderr
+
+
+def _refused_at_once(argv, message):
+    start = time.perf_counter()
+    result = dispatch(argv)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and message in result.stderr, result.stderr
+
+
+@pytest.mark.parametrize("d, tuples, exists", [(2, [[0, 1], [1, 0]], 10 ** 12), (1, [[0, 0]], 10 ** 9)])
+def test_reduce_gadget_refuses_a_huge_existential_count(tmp_path, d, tuples, exists):
+    """Refused before d^(2 + exists) is computed.  Over d = 1 every power is
+    1, so only the exponent can refuse it before the witness search
+    enumerates exists-tuples."""
+    inst = {
+        "d": d,
+        "relations": {"R": {"arity": 2, "tuples": tuples}},
+        "variables": ["a", "b"],
+        "constraints": [{"rel": "R", "scope": ["a", "b"]}],
+    }
+    formula = {"arity": 2, "exists": exists, "atoms": [{"rel": "R", "vars": [0, 1]}]}
+    ipath, fpath = tmp_path / "inst.json", tmp_path / "formula.json"
+    ipath.write_text(json.dumps(inst))
+    fpath.write_text(json.dumps(formula))
+    argv = ["reduce", "gadget", str(ipath), "--formula", str(fpath), "--target", "R"]
+    _refused_at_once(argv, "pp evaluation space exceeds the guard")
+
+
+@pytest.mark.parametrize("d, arity", [(2, 10 ** 8), (2, 10 ** 12), (1, 10 ** 9)])
+def test_poly_refuses_a_huge_arity(tmp_path, d, arity):
+    """Refused before n^r is computed or arity-many variable names are built."""
+    path = tmp_path / "wide.inst"
+    doc = {"d": d, "relations": {"R": {"arity": arity, "tuples": []}}, "variables": [], "constraints": []}
+    path.write_text(json.dumps(doc))
+    _refused_at_once(["poly", str(path), "--rel", "R"], f"inverse DFT table of {d}^{arity} x {d} entries")
+
+
+NUMBERS = st.lists(st.integers(-1, 5), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+TEXT = st.one_of(
+    NUMBERS,
+    st.lists(NUMBERS, max_size=3).map("|".join),
+    st.text(alphabet="0123456789,|+=x -#\n\t\0\u00e9", max_size=24),
+)
+
+
+@pytest.fixture(scope="module")
+def text_input_dir(tmp_path_factory):
+    """A d = 3 instance for `reduce restrict` and `reduce factor`; the
+    equations file of `gen linsys` is rewritten in the same directory."""
+    root = tmp_path_factory.mktemp("text_inputs")
+    inst = make_instance(3, ["x", "y"], [(("x", "y"), "neq")],
+                         {"neq": [(a, b) for a in range(3) for b in range(3) if a != b]})
+    (root / "inst.json").write_text(serialize_instance(inst))
+    return root
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_text_inputs_exit_zero_one_or_two(text_input_dir, data):
+    """`--image`, `--classes` and the `gen linsys` equations are read from
+    free text: any text gives exit 0, 1 or 2, and `dispatch` never raises."""
+    inst, eqs = str(text_input_dir / "inst.json"), text_input_dir / "eqs.txt"
+    command = data.draw(st.sampled_from(["restrict", "factor", "linsys"]))
+    text = data.draw(TEXT)
+    if command == "restrict":
+        dto = data.draw(st.integers(-2, 40))
+        argv = ["reduce", "restrict", inst, "--image", text, "--dto", str(dto)]
+    elif command == "factor":
+        argv = ["reduce", "factor", inst, "--classes", text]
+    else:
+        eqs.write_text(text, encoding="utf-8")
+        argv = ["gen", "linsys", "--p", str(data.draw(st.sampled_from([2, 3, 5]))), "--file", str(eqs)]
+    result = dispatch(argv)
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 2:
+        assert result.stderr.startswith("error: ") or result.stderr.startswith("usage: "), result.stderr
 
 
 def test_poly_command(magic_path):

@@ -270,6 +270,25 @@ def test_simultaneous_diagonalize_splits_blocks_the_mix_joins():
         assert np.allclose(sorted(np.diag(D).real), sorted(np.diag(P)), atol=1e-12)
 
 
+def test_simultaneous_diagonalize_refines_next_to_a_joint_eigenspace():
+    """As above, the mix of diag(0, c2) and diag(0, -c0) is 0 on the first two
+    slots, so the fast path fails and every block of size > 1 is refined,
+    including the genuine joint eigenspace of (5, 7), on which every input is
+    already scalar.  The refined basis must still diagonalize both inputs."""
+    c = np.random.default_rng(0).standard_normal(4)
+    V = random_unitary(4, np.random.default_rng(1))
+    plain = [np.diag([0, c[2], 5, 5]), np.diag([0, -c[0], 7, 7])]
+    mats = [V @ M @ V.conj().T for M in plain]
+    U, diags = simultaneous_diagonalize(mats, seed=0)
+    assert fro(U @ U.conj().T - np.eye(4)) <= 1e-12
+    scale = max(fro(M) for M in mats)
+    for M, D in zip(mats, diags):
+        assert fro(U @ M @ U.conj().T - D) <= 1e-12 * scale
+    pairs = sorted(zip(np.diag(diags[0]).real, np.diag(diags[1]).real))
+    expected = sorted([(0, 0), (c[2], -c[0]), (5, 7), (5, 7)])
+    assert np.allclose(pairs, expected, atol=1e-12)
+
+
 def joint_roots(diags, d: int) -> list:
     """Per eigenvector, the tuple of root indices k of its diagonal entries."""
     columns = np.array([np.diag(D) for D in diags]).T

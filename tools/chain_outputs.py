@@ -384,8 +384,9 @@ def emit_diagonalize_outputs():
 
 def degenerate_families():
     """Commuting families with repeated joint eigenvalues: embedded classical
-    solutions drawn with repeats and the Pauli triples tensored with an
-    identity, each conjugated by a seeded unitary."""
+    solutions drawn with repeats, the Pauli triples tensored with an identity,
+    and a family whose mix collides next to a joint eigenspace, each
+    conjugated by a seeded unitary."""
     rng = np.random.default_rng(11)
     for p, text in ((2, "x0 + x1 + x2 = 1\nx3 + x4 = 1\n"), (3, SYSTEMS["z3"][1])):
         solutions = classical_solutions(p, text)
@@ -399,6 +400,12 @@ def degenerate_families():
     for ci, c in enumerate(magic_square().constraints):
         V = random_unitary(12, rng)
         yield f"pauli#{ci} x3", [V @ np.kron(pauli[v], np.eye(3)) @ V.conj().T for v in c.scope]
+    # at seed 0 the mix is 0 on the first two slots, so the fallback refines
+    # every block, the genuine (5, 7) eigenspace included
+    c = np.random.default_rng(0).standard_normal(4)
+    V = random_unitary(4, np.random.default_rng(1))
+    yield "collision next to (5, 7) x2", [V @ np.diag(D) @ V.conj().T
+                                          for D in ([0, c[2], 5, 5], [0, -c[0], 7, 7])]
 
 
 def rounded(z: complex) -> str:
