@@ -263,10 +263,84 @@ def read_document(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"malformed document: {exc}") from exc
+    except RecursionError:
+        raise InstanceFormatError("malformed document: nested too deeply") from None
 
 
 def write_document(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1)
+    """The text of json.dumps(obj, sort_keys=True, indent=1), byte for byte,
+    for dicts with str keys, lists, tuples, str, int, float, bool and None;
+    any other key or value raises TypeError.  The text is one join of
+    pieces, and a list of scalars is one piece, not one per value."""
+    out = []
+    _emit(obj, "\n", out)
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # json's default ensure_ascii=True
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _emit(obj, nl: str, out: list) -> None:
+    """Append the pieces of obj's text, at the depth whose line break and
+    indent are nl, to out."""
+    scalar = _SCALARS.get(obj.__class__)
+    if scalar is not None:
+        out.append(scalar(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key in sorted(obj):  # _encode_str raises TypeError on a key that is not a str
+            out.append(sep + _encode_str(key) + ": ")
+            _emit(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + " "
+        if {int}.issuperset(map(type, obj)):
+            texts = map(int.__repr__, obj)
+        elif _SCALARS.keys() >= set(map(type, obj)):
+            texts = [_SCALARS[type(x)](x) for x in obj]
+        else:
+            sep = "[" + inner
+            for x in obj:
+                out.append(sep)
+                _emit(x, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+            return
+        out.append("[" + inner + ("," + inner).join(texts) + nl + "]")
+    else:
+        for kind in (str, int, float):  # a subclass is written as its base type
+            if isinstance(obj, kind):
+                out.append(_SCALARS[kind](obj))
+                return
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def load_instance(document: str) -> Instance:

@@ -341,6 +341,28 @@ def test_truncated_document_is_malformed(magic_path, tmp_path, command):
     assert result.stdout == ""
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command, document", [
+    (["slac"], "[" * 200_000),
+    (["slac"], '{"d": 2, "relations": {}, "variables": [], "constraints": ' + DEEP + "}"),
+    (["audit", "--check"], '{"d": 3, "sections": ' + DEEP + "}"),
+    (["verify-ops"], '{"dim": 4, "assign": {"x": ' + DEEP + "}}"),
+], ids=["slac-open-brackets", "slac-constraints", "audit-check-sections", "verify-ops-assign"])
+def test_deeply_nested_document_is_malformed(magic_path, tmp_path, command, document):
+    """Nesting deeper than the JSON reader recurses is an input error, not a
+    crash."""
+    bad = tmp_path / "deep.json"
+    bad.write_text(document)
+    argv = [command[0], str(bad)] if command == ["slac"] else command[:1] + [magic_path] + command[1:] + [str(bad)]
+    result = dispatch(argv)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: malformed document"), result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def _reader_cases(tmp_path):
     """(label -> (document, argv with "BAD" where the mutated document goes)):
     the magic square through `slac`, `solve` and `poly`, and a pp-formula

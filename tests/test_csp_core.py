@@ -7,7 +7,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from opcsp.certificates import build_certificate
+from opcsp.consistency import slac, slac_result_to_obj
 from opcsp.csp_core import (
     Instance,
     InstanceFormatError,
@@ -15,15 +18,17 @@ from opcsp.csp_core import (
     Relation,
     brute_force_solve,
     instance_digest,
+    instance_to_obj,
     load_instance,
     make_instance,
     search_space_size,
     serialize_instance,
     validate_assignment,
+    write_document,
 )
 from opcsp.gap_instances import LinearSystem, linear_system_instance, magic_square
 
-from helpers import iter_solutions
+from helpers import bounded_width_corpus, iter_solutions
 
 
 def test_magic_square_shape():
@@ -277,3 +282,48 @@ def test_load_rejects_bad_tuples():
         Relation(2, 2, frozenset({(0, 1), (1,)}))
     with pytest.raises(ValueError, match="value out of domain"):
         Relation(2, 2, frozenset({(0, -1)}))
+
+
+def json_oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+# characters json escapes: quote, backslash, control characters, non-ASCII
+# and a lone surrogate, mixed with any other character
+TEXT = st.text(st.sampled_from('"\\\n\x00\x1f\x7fé\u2028\U0001f600\ud800 a') | st.characters(), max_size=8)
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 300, 10 ** 300)
+           | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]) | TEXT)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.lists(st.integers())
+    | st.dictionaries(TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(DOCUMENTS)
+def test_write_document_matches_json_indent_one(obj):
+    assert write_document(obj) == json_oracle(obj)
+
+
+def test_write_document_matches_json_on_package_documents():
+    """Every instance, trace and certificate document of the bounded-width
+    corpus, and the 1 MB Z_5 zero-sum instance."""
+    docs = []
+    for inst in bounded_width_corpus(1234, 200):
+        result = slac(inst)
+        docs += [instance_to_obj(inst), slac_result_to_obj(result)]
+        if not result.consistent:
+            docs.append(build_certificate(inst, result).to_obj())
+    z5 = linear_system_instance(LinearSystem(5, ((tuple(range(7)), (1,) * 7, 0), ((0, 3, 5), (1, 1, 1), 2))))
+    docs.append(instance_to_obj(z5))
+    for obj in docs:
+        assert write_document(obj) == json_oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: 0}, {"a": {(0, 1): 0}}, {"a": {0, 1}}, [set()], object()],
+                         ids=["int-key", "tuple-key", "set-value", "set-item", "object"])
+def test_write_document_rejects_what_it_cannot_write(obj):
+    with pytest.raises(TypeError):
+        write_document(obj)
