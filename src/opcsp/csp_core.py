@@ -322,24 +322,16 @@ def _emit(obj, nl: str, out: list) -> None:
             out.append("[]")
             return
         inner = nl + " "
-        if {int}.issuperset(map(type, obj)):
-            texts = map(int.__repr__, obj)
-        elif _SCALARS.keys() >= set(map(type, obj)):
-            texts = [_SCALARS[type(x)](x) for x in obj]
-        else:
-            sep = "[" + inner
-            for x in obj:
-                out.append(sep)
-                _emit(x, inner, out)
-                sep = "," + inner
-            out.append(nl + "]")
+        if _SCALARS.keys() >= set(map(type, obj)):  # one piece for a list of scalars
+            out.append("[" + inner + ("," + inner).join([_SCALARS[type(x)](x) for x in obj]) + nl + "]")
             return
-        out.append("[" + inner + ("," + inner).join(texts) + nl + "]")
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _emit(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
     else:
-        for kind in (str, int, float):  # a subclass is written as its base type
-            if isinstance(obj, kind):
-                out.append(_SCALARS[kind](obj))
-                return
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -328,39 +328,21 @@ def test_audit_malformed_document_exits_two(tmp_path, label):
     ["audit", "--trace"],
     ["verify-ops"],
     ["reduce", "gadget", "--target", "Rplus", "--formula"],
+    ["slac"],
 ])
 def test_truncated_document_is_malformed(magic_path, tmp_path, command):
     """Every document a command reads reports broken JSON as the instance
-    reader does."""
+    reader does, and so does nesting deeper than the JSON reader recurses."""
     bad = tmp_path / "bad.json"
-    bad.write_text('{"d": 3,')
     name = 2 if command[0] == "reduce" else 1
-    result = dispatch(command[:name] + [magic_path] + command[name:] + [str(bad)])
-    assert result.exit_code == 2
-    assert result.stderr.startswith("error: malformed document: "), result.stderr
-    assert result.stdout == ""
-
-
-DEEP = "[" * 100_000 + "]" * 100_000
-
-
-@pytest.mark.parametrize("command, document", [
-    (["slac"], "[" * 200_000),
-    (["slac"], '{"d": 2, "relations": {}, "variables": [], "constraints": ' + DEEP + "}"),
-    (["audit", "--check"], '{"d": 3, "sections": ' + DEEP + "}"),
-    (["verify-ops"], '{"dim": 4, "assign": {"x": ' + DEEP + "}}"),
-], ids=["slac-open-brackets", "slac-constraints", "audit-check-sections", "verify-ops-assign"])
-def test_deeply_nested_document_is_malformed(magic_path, tmp_path, command, document):
-    """Nesting deeper than the JSON reader recurses is an input error, not a
-    crash."""
-    bad = tmp_path / "deep.json"
-    bad.write_text(document)
-    argv = [command[0], str(bad)] if command == ["slac"] else command[:1] + [magic_path] + command[1:] + [str(bad)]
-    result = dispatch(argv)
-    assert result.exit_code == 2
-    assert result.stderr.startswith("error: malformed document"), result.stderr
-    assert "Traceback" not in result.stderr
-    assert result.stdout == ""
+    argv = ["slac", str(bad)] if command == ["slac"] else command[:name] + [magic_path] + command[name:] + [str(bad)]
+    for document in ('{"d": 3,', "[" * 200_000, '{"d": 3, "sections": ' + "[" * 100_000 + "]" * 100_000 + "}"):
+        bad.write_text(document)
+        result = dispatch(argv)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: malformed document: "), result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
 
 def _reader_cases(tmp_path):

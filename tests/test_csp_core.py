@@ -322,8 +322,9 @@ def test_write_document_matches_json_on_package_documents():
         assert write_document(obj) == json_oracle(obj)
 
 
-@pytest.mark.parametrize("obj", [{1: 0}, {"a": {(0, 1): 0}}, {"a": {0, 1}}, [set()], object()],
-                         ids=["int-key", "tuple-key", "set-value", "set-item", "object"])
+@pytest.mark.parametrize("obj", [{1: 0}, {"a": {(0, 1): 0}}, {"a": {0, 1}}, [set()], object(),
+                                 [type("Real", (float,), {})(0.5)]],
+                         ids=["int-key", "tuple-key", "set-value", "set-item", "object", "float-subclass"])
 def test_write_document_rejects_what_it_cannot_write(obj):
     with pytest.raises(TypeError):
         write_document(obj)
