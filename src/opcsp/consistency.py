@@ -39,41 +39,81 @@ def linear_ac(inst: Instance, domains: dict | None = None, *, pin: tuple) -> Lin
     "scope[tgt] in image", where the image collects the tgt coordinates of
     relation tuples whose src coordinate lies in S and whose every coordinate
     lies in the (pin-adjusted) current domains.  Inconsistent as soon as some
-    derivation comes out empty.
+    derivation comes out empty.  Raises ValueError on a pin, or a value of
+    `domains`, that is not an int in 0..d-1.
+
+    Inside, value sets are d-bit masks (`Relation.images`), and the images
+    of each distinct (relation, masks) argument are computed once per call:
+    constraints that share a relation over the same domains ask for the same
+    ones.  The result holds frozensets, each built once per distinct mask.
     """
-    full = frozenset(range(inst.d))
-    eff = {} if domains is None else dict(domains)
+    d = inst.d
+
+    def mask_of(values, what: str) -> int:
+        mask = 0
+        for a in values:
+            if not (isinstance(a, int) and 0 <= a < d):
+                raise ValueError(f"{what} {a!r} outside 0..{d - 1}")
+            mask |= 1 << a
+        return mask
+
+    eff = {} if domains is None else {
+        var: mask_of(values, "domain value") for var, values in domains.items()}
     for v in inst.variables:
-        eff.setdefault(v, full)
+        eff.setdefault(v, (1 << d) - 1)
     v, a = pin
     if v not in eff:
         raise ValueError(f"unknown pinned variable {v!r}")
-    if a not in range(inst.d):
-        raise ValueError(f"pinned value {a!r} outside 0..{inst.d - 1}")
-    eff[v] = frozenset({a})
+    eff[v] = mask_of((a,), "pinned value")
     store: dict = {(v, eff[v]): None}
     queue = [(v, eff[v])]
+    constraints, occurrences = inst.constraints, inst.occurrences
+    seen: dict = {}  # (relation name, *masks) -> images
     for key in queue:  # also visits the keys appended below
         var, values = key
-        for ci, src in inst.occurrences.get(var, ()):
-            c = inst.constraints[ci]
+        for ci, src in occurrences.get(var, ()):
+            c = constraints[ci]
             doms = [eff[v] for v in c.scope]
-            doms[src] = doms[src] & values
-            images = inst.relation_of(c).projections(doms)
-            if not images[src]:
-                empty = (var, frozenset())
-                store[empty] = (ci, src, key, src)
-                return LinearAcResult(False, None, store, empty)
+            doms[src] &= values
+            arg = (c.rel, *doms)
+            if arg not in seen:
+                seen[arg] = inst.relation_of(c).images(doms)
+            images = seen[arg]
+            if images is None:
+                store[var, 0] = (ci, src, key, src)
+                return _as_sets(d, store, None, (var, 0))
             for tgt, image in enumerate(images):
                 derived = (c.scope[tgt], image)
                 if derived not in store:
                     store[derived] = (ci, src, key, tgt)
                     queue.append(derived)
 
-    closed = dict(eff)
     for var, values in store:
-        closed[var] = closed[var] & values
-    return LinearAcResult(True, closed, store, None)
+        eff[var] &= values
+    return _as_sets(d, store, eff, None)
+
+
+def _as_sets(d: int, store: dict, domains: dict | None, contradiction) -> LinearAcResult:
+    """The result of `linear_ac` from its mask form, every mask turned into
+    the frozenset of its values, one frozenset per distinct mask."""
+    sets: dict = {}
+
+    def as_set(mask: int) -> frozenset:
+        if mask not in sets:
+            sets[mask] = frozenset([a for a in range(d) if mask >> a & 1])
+        return sets[mask]
+
+    keys: dict = {}  # mask key -> set key; a source key precedes the keys it derives
+    out = {}
+    for key, derivation in store.items():
+        keys[key] = (key[0], as_set(key[1]))
+        if derivation is not None:
+            ci, src, source, tgt = derivation
+            derivation = (ci, src, keys[source], tgt)
+        out[keys[key]] = derivation
+    if contradiction is not None:
+        return LinearAcResult(False, None, out, keys[contradiction])
+    return LinearAcResult(True, {var: as_set(mask) for var, mask in domains.items()}, out, None)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ import json
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, product
-from operator import or_
 
 
 class InstanceFormatError(ValueError):
@@ -59,10 +58,11 @@ class Relation:
 
     @cached_property
     def _support(self) -> tuple:
-        """Bitset index, built on first use: per position, the set of values
-        occurring there and their (value, mask) pairs (bit i of a mask for
-        the i-th tuple); and the mask of all tuples.  Cached in the instance
-        dict, not a field, so equality, hash and documents ignore it."""
+        """Bitset index, built on first use: per position, the d-bit mask of
+        the values occurring there and their (value, 1 << value, tuple mask)
+        triples (bit i of a tuple mask for the i-th tuple); and the mask of
+        all tuples.  Cached in the instance dict, not a field, so equality,
+        hash and documents ignore it."""
         nbytes = (len(self.tuples) + 7) // 8
         bufs = [defaultdict(lambda: bytearray(nbytes)) for _ in range(self.arity)]
         for i, t in enumerate(self.tuples):
@@ -71,24 +71,59 @@ class Relation:
                 column[a][byte] |= bit
         index = []
         for column in bufs:
-            pairs = tuple((a, int.from_bytes(buf, "little")) for a, buf in sorted(column.items()))
-            index.append((frozenset(column), pairs))
+            entries = tuple((a, 1 << a, int.from_bytes(buf, "little")) for a, buf in sorted(column.items()))
+            index.append((sum([bit for _, bit, _ in entries]), entries))
         return index, (1 << len(self.tuples)) - 1
+
+    def images(self, masks) -> tuple | None:
+        """The one tuple-support kernel of propagation and the certificate
+        checker.  `masks` holds one d-bit mask of allowed values per
+        position; returns, per position, the mask of the values of the tuples
+        whose every coordinate is allowed, or None when no tuple survives.
+        The survivors are the AND over positions of the OR of the allowed
+        values' tuple masks, skipping a position that admits its whole
+        column."""
+        index, everything = self._support
+        alive = everything
+        for (values, column), dom in zip(index, masks):
+            if values & ~dom:
+                allowed = 0
+                for _, bit, m in column:
+                    if bit & dom:
+                        allowed |= m
+                alive &= allowed
+                if not alive:
+                    return None
+        if alive == everything:  # no position narrowed: the columns themselves
+            return tuple([values for values, _ in index]) if alive else None
+        out = []
+        for _, column in index:
+            image = 0
+            for _, bit, m in column:
+                if alive & m:
+                    image |= bit
+            out.append(image)
+        return tuple(out)
 
     def projections(self, doms) -> tuple:
         """Per position, the values of the tuples whose every coordinate lies
-        in the allowed set of its position (`doms`, one set of values per
-        position); all empty when no tuple survives.  The one tuple-support
-        kernel of the propagation engine and the certificate checker: the
-        survivors are the AND over positions of the OR of the allowed values'
-        masks, skipping a position whose set admits its whole column."""
-        index, alive = self._support
-        for (values, column), dom in zip(index, doms):
-            if not values.issubset(dom):
-                alive &= reduce(or_, [m for a, m in column if a in dom], 0)
-                if not alive:
-                    return (frozenset(),) * self.arity
-        return tuple([frozenset([a for a, m in column if alive & m]) for _, column in index])
+        in the allowed set of its position (`doms`, one container of values
+        per position); all empty when no tuple survives.  The set form of
+        `images`: only the values of a position's column are looked up in its
+        set, so nothing else in it is ever shifted into a mask."""
+        index, _ = self._support
+        masks = []
+        for (_, column), dom in zip(index, doms):
+            mask = 0
+            for a, bit, _ in column:
+                if a in dom:
+                    mask |= bit
+            masks.append(mask)
+        images = self.images(masks)
+        if images is None:
+            return (frozenset(),) * self.arity
+        return tuple([frozenset([a for a, bit, _ in column if image & bit])
+                      for (_, column), image in zip(index, images)])
 
     def __contains__(self, t) -> bool:
         return tuple(t) in self.tuples

@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 from opcsp.certificates import CheckResult
-from opcsp.consistency import full_domains
+from opcsp.consistency import LinearAcResult, full_domains
 from opcsp.csp_core import (
     BRUTE_FORCE_GUARD,
     Instance,
@@ -150,6 +150,44 @@ def full_ac(inst: Instance, domains: dict | None = None) -> tuple[bool, dict]:
                     changed = True
     consistent = all(eff[v] for v in inst.variables)
     return consistent, eff
+
+
+def reference_linear_ac(inst: Instance, domains: dict | None = None, *, pin: tuple) -> LinearAcResult:
+    """`linear_ac` on frozensets with no memo, one `Relation.projections`
+    call per visited occurrence (differential oracle for the mask engine)."""
+    full = frozenset(range(inst.d))
+    eff = {} if domains is None else dict(domains)
+    for v in inst.variables:
+        eff.setdefault(v, full)
+    v, a = pin
+    if v not in eff:
+        raise ValueError(f"unknown pinned variable {v!r}")
+    if a not in range(inst.d):
+        raise ValueError(f"pinned value {a!r} outside 0..{inst.d - 1}")
+    eff[v] = frozenset({a})
+    store: dict = {(v, eff[v]): None}
+    queue = [(v, eff[v])]
+    for key in queue:  # also visits the keys appended below
+        var, values = key
+        for ci, src in inst.occurrences.get(var, ()):
+            c = inst.constraints[ci]
+            doms = [eff[v] for v in c.scope]
+            doms[src] = doms[src] & values
+            images = inst.relation_of(c).projections(doms)
+            if not images[src]:
+                empty = (var, frozenset())
+                store[empty] = (ci, src, key, src)
+                return LinearAcResult(False, None, store, empty)
+            for tgt, image in enumerate(images):
+                derived = (c.scope[tgt], image)
+                if derived not in store:
+                    store[derived] = (ci, src, key, tgt)
+                    queue.append(derived)
+
+    closed = dict(eff)
+    for var, values in store:
+        closed[var] = closed[var] & values
+    return LinearAcResult(True, closed, store, None)
 
 
 def minimal_conflict_instance(d: int = 2) -> Instance:

@@ -2,6 +2,8 @@
 and the classical AC cross-check."""
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +19,8 @@ from opcsp.consistency import (
 from opcsp.csp_core import brute_force_solve, make_instance
 from opcsp.gap_instances import linear_system_instance, magic_square, parse_linear_system
 
-from helpers import bounded_width_corpus, full_ac, iter_solutions
+from helpers import (bounded_width_corpus, full_ac, iter_solutions, linear_system_corpus,
+                     reference_linear_ac)
 
 
 def implication_chain_instance():
@@ -55,6 +58,72 @@ def test_linear_ac_rejects_bad_pin():
     for value in (7, 2, -1):
         with pytest.raises(ValueError, match="outside 0..1"):
             linear_ac(inst, pin=("b", value))
+
+
+def assert_same_as_reference(inst, domains=None):
+    """Every pin of every variable of `inst` gives the frozenset reference's
+    verdict, domains, ordered facts with their derivations, and contradiction."""
+    for v in inst.variables:
+        for a in range(inst.d):
+            got = linear_ac(inst, domains, pin=(v, a))
+            want = reference_linear_ac(inst, domains, pin=(v, a))
+            assert (got.consistent, got.domains, got.contradiction) == (
+                want.consistent, want.domains, want.contradiction)
+            assert list(got.store.items()) == list(want.store.items())
+            assert all(type(values) is frozenset for _, values in got.store)
+
+
+def test_linear_ac_matches_frozenset_reference():
+    for inst in bounded_width_corpus(1234, 200):
+        assert_same_as_reference(inst)
+    for _, system in linear_system_corpus(10, 30):
+        assert_same_as_reference(linear_system_instance(system))
+    assert_same_as_reference(magic_square())
+
+
+def test_linear_ac_matches_frozenset_reference_on_given_domains():
+    """Caller-supplied domains: random subsets, empty ones included, some
+    variables left out, and pins outside their variable's domain."""
+    rng = random.Random(22)
+    draws = [(inst, 3) for inst in bounded_width_corpus(4321, 60, max_vars=7)]
+    draws += [(linear_system_instance(system), 1) for _, system in linear_system_corpus(22, 12)]
+    for inst, count in draws:
+        for _ in range(count):
+            domains = {
+                v: frozenset(a for a in range(inst.d) if rng.random() < 0.7)
+                for v in inst.variables if rng.random() < 0.8
+            }
+            assert_same_as_reference(inst, domains)
+
+
+def test_linear_ac_rejects_domain_values_outside_the_domain():
+    inst = implication_chain_instance()
+    for bad in (-1, 10 ** 12, "a", 1.0, None):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            linear_ac(inst, {"y": {0, bad}}, pin=("x", 0))
+    with pytest.raises(ValueError, match="outside 0..1"):
+        linear_ac(inst, pin=("x", "a"))
+
+
+@pytest.mark.parametrize("value", [10 ** 12, -1])
+@pytest.mark.parametrize("step", [0, 1])
+def test_check_chain_rejects_recorded_value_outside_the_domain(value, step):
+    """A recorded value outside 0..d-1, on a step with a witness (0) or the
+    terminal one (1), is a set that is not the licensed image: REJECT,
+    within 1 s."""
+    inst = bounded_width_corpus(1234, 200)[97]
+    remaining = full_domains(inst)
+    chains = list(slac(inst).chains.values())
+    for chain in chains[:2]:
+        remaining[chain.var] -= {chain.value}
+    chain = compile_chain(chains[2], inst.d)
+    assert len(chain.steps) == 2 and check_chain(inst, remaining, chain).accepted
+    steps = list(chain.steps)
+    steps[step] = replace(steps[step], values=steps[step].values + (value,))
+    start = time.perf_counter()
+    verdict = check_chain(inst, remaining, replace(chain, steps=tuple(steps)))
+    assert time.perf_counter() - start < 1
+    assert verdict.describe() == f"REJECT at step:{step}: recorded set is not the licensed image"
 
 
 def test_linear_ac_accepts_plain_set_domains():

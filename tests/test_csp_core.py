@@ -225,6 +225,29 @@ def test_projections_accept_any_container():
         assert rel.projections(full) == brute_force_projections(rel, full)
 
 
+def test_projections_ignore_values_outside_the_domain():
+    """Values that are not ints in 0..d-1 are never shifted into a mask: they
+    are ignored, as the brute-force scan ignores them."""
+    rng = random.Random(8)
+    for _ in range(100):
+        rel = random_relation(rng, rng.randint(1, 5), rng.randint(1, 3))
+        doms = [set(dom) | {-1, 10 ** 12, "a", rel.d} for dom in random_domains(rng, rel.d, rel.arity)]
+        assert rel.projections(doms) == brute_force_projections(rel, doms)
+
+
+def test_images_are_the_masks_of_the_projections():
+    rng = random.Random(9)
+    for _ in range(200):
+        rel = random_relation(rng, rng.randint(1, 6), rng.randint(1, 4))
+        doms = random_domains(rng, rel.d, rel.arity)
+        images = rel.images([sum(1 << a for a in dom) for dom in doms])
+        expected = brute_force_projections(rel, doms)
+        if not expected[0]:
+            assert images is None
+        else:
+            assert images == tuple(sum(1 << a for a in image) for image in expected)
+
+
 def test_equal_relations_answer_alike():
     rng = random.Random(11)
     for _ in range(30):

@@ -3,14 +3,18 @@ write both sides to one JSON record.
 
     python tools/bench_record.py --base HEAD~1 --out BENCH_6.json
 
-The base commit is exported with `git archive` into a temporary directory;
-the change side is the working tree this script sits in.  Each of ten
+Both sides are packed the same way: the base commit by `git archive`, the
+change side as the files of this checkout that git tracks, read from the
+working tree, so uncommitted edits count.  Every run unpacks its side into a
+fresh temporary directory of its own, named alike for both sides, and
+removes it afterwards, so neither side runs from a fixed path.  Each of ten
 pairs runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 once on each side for every workload of `BENCHMARK.json`, with the same seed
 (pair k uses seed k + 1) and the run length T of `BENCHMARK.json`; even pairs
 run the base first and odd pairs the change first.  After the timed pairs,
 one traced run (`--trace 1`) per side and workload records the per-layer
-metrics.  The benchmark itself, its corpora and its bounds are not touched.
+metrics, the base first on even-numbered workloads and the change first on
+odd ones.  The benchmark itself, its corpora and its bounds are not touched.
 
 The record holds every run's JSON line and, per workload and end-to-end
 metric, each side's median and quartiles, the ratio of the medians
@@ -43,17 +47,47 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def export(rev: str, dest: Path) -> str:
-    """Unpack the tree of `rev` into `dest`; returns the full commit id."""
+def archive(rev: str) -> tuple:
+    """(full commit id, tar bytes) of the tree of `rev`."""
     commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                             check=True, capture_output=True, text=True).stdout.strip()
-    tar = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+    return commit, subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                                  capture_output=True).stdout
+
+
+def working_tree_archive() -> bytes:
+    """Tar bytes of the files git tracks in this checkout, as they are in the
+    working tree; a tracked file deleted from the tree is left out."""
+    names = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.decode().split("\0")
+    out = BytesIO()
+    with tarfile.open(fileobj=out, mode="w") as tar:
+        for name in filter(None, names):
+            if (ROOT / name).is_file():
+                tar.add(ROOT / name, arcname=name)
+    return out.getvalue()
+
+
+def unpack(packed: bytes, dest: Path) -> None:
+    with tarfile.open(fileobj=BytesIO(packed)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def export(rev: str, dest: Path) -> str:
+    """Unpack the tree of `rev` into `dest`; returns the full commit id."""
+    commit, packed = archive(rev)
+    unpack(packed, dest)
     return commit
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(packed: bytes, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run, from a fresh directory that holds the unpacked side."""
+    with tempfile.TemporaryDirectory(prefix="bench-run-") as tmp:
+        unpack(packed, Path(tmp))
+        return run_checkout(Path(tmp), workload, seed, seconds, trace)
+
+
+def run_checkout(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     args = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     start = time.perf_counter()
@@ -64,6 +98,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     out = json.loads(done.stdout.strip().splitlines()[-1])
     out["seed"], out["wall_s"] = seed, round(wall, 2)
     return out
+
+
+def alternate(k: int) -> tuple:
+    """The order of the two sides in the k-th pair: the base first when k is even."""
+    return ("base", "change") if k % 2 == 0 else ("change", "base")
 
 
 def quartiles(values: list) -> dict:
@@ -108,30 +147,27 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        sides = {"base": Path(tmp), "change": ROOT}
-        record["base"] = export(args.base, sides["base"])
-        runs = {w: {"base": [], "change": []} for w in workloads}
-        for k in range(PAIRS):
-            seed = k + 1
-            order = ("base", "change") if k % 2 == 0 else ("change", "base")
-            for workload in workloads:
-                for side in order:
-                    runs[workload][side].append(run_bench(sides[side], workload, seed, seconds, 0))
-                pair = {s: runs[workload][s][-1]["metrics"]["ops_per_s"]["value"] for s in order}
-                print(f"pair {k} seed {seed} {workload}: ops/s base {pair['base']:.1f} "
-                      f"change {pair['change']:.1f}", file=sys.stderr)
+    record["base"], base = archive(args.base)
+    sides = {"base": base, "change": working_tree_archive()}
+    runs = {w: {"base": [], "change": []} for w in workloads}
+    for k in range(PAIRS):
+        seed = k + 1
         for workload in workloads:
-            traced = {side: run_bench(path, workload, 1, seconds, 1)
-                      for side, path in sides.items()}
-            record["workloads"][workload] = {
-                "summary": summarize(runs[workload], better),
-                "operations": {side: {k: sum(r[k] for r in rs) for k in ("failed", "attempted")}
-                               for side, rs in runs[workload].items()},
-                "correct": all(r["correct"] for rs in runs[workload].values() for r in rs),
-                "traced": traced,
-                "runs": runs[workload],
-            }
+            for side in alternate(k):
+                runs[workload][side].append(run_bench(sides[side], workload, seed, seconds, 0))
+            pair = {s: runs[workload][s][-1]["metrics"]["ops_per_s"]["value"] for s in sides}
+            print(f"pair {k} seed {seed} {workload}: ops/s base {pair['base']:.1f} "
+                  f"change {pair['change']:.1f}", file=sys.stderr)
+    for i, workload in enumerate(workloads):
+        traced = {side: run_bench(sides[side], workload, 1, seconds, 1) for side in alternate(i)}
+        record["workloads"][workload] = {
+            "summary": summarize(runs[workload], better),
+            "operations": {side: {k: sum(r[k] for r in rs) for k in ("failed", "attempted")}
+                           for side, rs in runs[workload].items()},
+            "correct": all(r["correct"] for rs in runs[workload].values() for r in rs),
+            "traced": {side: traced[side] for side in sides},
+            "runs": runs[workload],
+        }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
