@@ -314,6 +314,23 @@ def embed(k: int, d: int) -> CycNum:
     return CycNum.root_of_unity(k % d, d)
 
 
+@lru_cache(maxsize=64)
+def _roots(L: int) -> dict:
+    # num of +-zeta_L^k -> (k, sign); where -zeta_L^k is also a zeta_L^j, the sign is +1
+    table = {(-embed(k, L)).num: (k, -1) for k in range(L)}
+    table.update((embed(k, L).num, (k, 1)) for k in range(L))
+    return table
+
+
+def root_index(p: CycNum) -> tuple[int, int, int]:
+    """The inverse of `embed`: (L, k, sign) with p = sign * zeta_L^k and
+    L = p.order.  Raises ValueError when p is not +-zeta_L^k at its own order."""
+    found = _roots(p.order).get(p.num) if p.den == 1 else None
+    if found is None:
+        raise ValueError(f"{p} is not +-z{p.order}^k for any k")
+    return (p.order, *found)
+
+
 # ---------------------------------------------------------------------------
 
 

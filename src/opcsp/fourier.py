@@ -5,15 +5,22 @@ variable, which is sound both for evaluation at roots of unity and for
 substitution of normal operators of order d.  Coefficients are exact CycNum
 values; the certificate machinery consumes these polynomials, so nothing here
 may round.
+
+`MultiPoly.eval` evaluates only at roots of unity: each coordinate must be
++-zeta_L^k at its own order L (`cyclotomic.root_index`), and any other value,
+such as 0, 2, 1/2 or 1 - zeta_3, raises ValueError.  The value is the one
+field multiplication and addition would give, at the same order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 
 from .csp_core import Relation
-from .cyclotomic import ONE, ZERO, CycNum, UniPoly, embed, poly_ext_gcd
+from .cyclotomic import ONE, ZERO, CycNum, UniPoly, embed, poly_ext_gcd, root_index
 
 
 class MultiPoly:
@@ -89,28 +96,31 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def eval(self, point) -> CycNum:
-        point = [CycNum._coerce(p) for p in point]
-        if len(point) != len(self.vars):
+        """The value at a point whose coordinates are +-zeta_L^k, as one sum
+        in Z[x]/(x^M - 1) reduced once modulo Phi_M.  M is the lcm of the
+        coefficients' orders and of the orders of the coordinates some term
+        raises to a nonzero power: a term's coefficient row is rotated by the
+        index of its monomial and added in, scaled to the common denominator."""
+        roots = [root_index(CycNum._coerce(p)) for p in point]
+        if len(roots) != len(self.vars):
             raise ValueError("point length must match variable count")
-        top = [0] * len(point)
-        for exps in self.terms:
-            for j, e in enumerate(exps):
-                if e > top[j]:
-                    top[j] = e
-        powers = []
-        for val, m in zip(point, top):
-            row = [ONE]
-            for _ in range(m):
-                row.append(row[-1] * val)
-            powers.append(row)
-        total = ZERO
+        used = [L for (L, _, _), column in zip(roots, zip(*self.terms)) if any(column)]
+        M = lcm(1, *{c.order for c in self.terms.values()}, *used)
+        den = lcm(1, *{c.den for c in self.terms.values()})
+        # zeta_L^k = zeta_M^(k*M/L); where L does not divide M, no term raises the coordinate
+        units = [k * (M // L) for L, k, _ in roots]
+        negated = [int(s < 0) for _, _, s in roots]
+        acc = [0] * M
         for exps, coeff in self.terms.items():
-            term = coeff
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * powers[j][e]
-            total = total + term
-        return total
+            shift = sum(map(mul, exps, units))
+            scale = den // coeff.den
+            if sum(map(mul, exps, negated)) & 1:
+                scale = -scale
+            step = M // coeff.order
+            for i, c in enumerate(coeff.num):
+                if c:
+                    acc[(shift + i * step) % M] += scale * c
+        return CycNum._of(M, acc, den)
 
     def is_zero(self) -> bool:
         return not self.terms

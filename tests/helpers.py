@@ -15,8 +15,8 @@ from opcsp.csp_core import (
     search_space_size,
     validate_assignment,
 )
-from opcsp.cyclotomic import CycNum, UniPoly, cyclotomic_int_coeffs, embed
-from opcsp.fourier import root_product
+from opcsp.cyclotomic import ONE, ZERO, CycNum, UniPoly, cyclotomic_int_coeffs, embed
+from opcsp.fourier import MultiPoly, root_product
 from opcsp.gap_instances import LinearSystem, horn_language, shift_language, two_clause_language
 from opcsp.reductions import Congruence
 
@@ -244,6 +244,34 @@ def reference_collapse_check(d: int, collapse) -> CheckResult:
     if frozenset() not in established:
         return CheckResult(False, ("collapse",), "script never reaches the empty product")
     return CheckResult(True)
+
+
+def reference_eval(poly: MultiPoly, point) -> CycNum:
+    """`MultiPoly.eval` by field arithmetic: a table of the powers of each
+    coordinate, then one product per term and one sum (differential oracle
+    for the index-shift evaluation; it accepts any coordinate)."""
+    point = [CycNum._coerce(p) for p in point]
+    if len(point) != len(poly.vars):
+        raise ValueError("point length must match variable count")
+    top = [0] * len(point)
+    for exps in poly.terms:
+        for j, e in enumerate(exps):
+            if e > top[j]:
+                top[j] = e
+    powers = []
+    for val, m in zip(point, top):
+        row = [ONE]
+        for _ in range(m):
+            row.append(row[-1] * val)
+        powers.append(row)
+    total = ZERO
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for j, e in enumerate(exps):
+            if e:
+                term = term * powers[j][e]
+        total = total + term
+    return total
 
 
 def cyclotomic_polynomial(L: int) -> UniPoly:

@@ -13,6 +13,7 @@ from opcsp.cyclotomic import (
     embed,
     phi_degree,
     poly_ext_gcd,
+    root_index,
 )
 
 from helpers import cyclotomic_polynomial
@@ -135,6 +136,31 @@ def test_embed_consistency_across_orders():
             L = d * mult
             for k in range(d):
                 assert embed(k, d) == embed(k * (L // d), L)
+
+
+def test_root_index_inverts_embed():
+    for L in range(1, 13):
+        for k in range(L):
+            assert root_index(embed(k, L)) == (L, k, 1)
+            order, j, sign = root_index(-embed(k, L))
+            assert order == L and sign * embed(j, L) == -embed(k, L)
+            # -zeta_L^k is zeta_L^(k + L/2) when L is even, and is read as such
+            assert sign == (1 if L % 2 == 0 else -1)
+
+
+def test_root_index_keeps_the_sign_at_orders_1_and_3():
+    # lifting -1 or -zeta_3^k to order 2L would change the order of results
+    assert root_index(-CycNum.one()) == (1, 0, -1)
+    for k in range(3):
+        assert root_index(-embed(k, 3)) == (3, k, -1)
+    assert root_index(embed(1, 2).lift(4)) == (4, 2, 1)
+    assert root_index(1 + embed(1, 3)) == (3, 2, -1)  # 1 + zeta_3 = -zeta_3^2
+
+
+@pytest.mark.parametrize("value", [0, 2, Fraction(1, 2), 1 - embed(1, 3), 1 + embed(1, 4), embed(1, 5) * 3])
+def test_root_index_rejects_values_that_are_not_roots_of_unity(value):
+    with pytest.raises(ValueError, match="is not"):
+        root_index(CycNum._coerce(value))
 
 
 def test_ext_gcd_trivial_cases():

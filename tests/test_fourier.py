@@ -18,7 +18,9 @@ from opcsp.fourier import (
     root_product,
     rule_polynomial,
 )
-from opcsp.gap_instances import parity_relation, zero_sum_relation
+from opcsp.gap_instances import linear_language, parity_relation, zero_sum_relation
+
+from helpers import reference_eval
 
 
 def poly_matches_relation(rel: Relation) -> bool:
@@ -282,3 +284,52 @@ def test_multipoly_eval_examples():
     assert const.eval([embed(1, 2), embed(1, 2)]) == 1
     with pytest.raises(ValueError):
         const.eval([CycNum.one()])
+
+
+def test_eval_matches_the_field_arithmetic_reference():
+    """Index-shift evaluation writes the wire form of field arithmetic: at
+    every point of the linear_language(2) and (3) relation polynomials and of
+    seeded relation and rule polynomials with d <= 6, and at seeded points of
+    orders 1, 3, 5, d and 2d, negated roots included, of seeded polynomials
+    whose coefficients have orders 1, d, 2d and 3 and denominators."""
+    rng = random.Random(24)
+    polys = [relation_polynomial(lang[name]) for lang in (linear_language(2), linear_language(3))
+             for name in sorted(lang.relations)]
+    for _ in range(30):
+        d, r = rng.randint(1, 6), rng.randint(1, 3)
+        rel = Relation(r, d, frozenset(t for t in product(range(d), repeat=r) if rng.random() < 0.5))
+        polys.append(relation_polynomial(rel))
+        if r >= 2 and d <= 4:
+            i, j = rng.sample(range(r), 2)
+            S = {k for k in range(d) if rng.random() < 0.5}
+            polys.append(rule_polynomial(S, rel, {t[j] for t in rel.tuples if t[i] in S}, i, j))
+    points = [(poly, [embed(k, poly.d) for k in a])
+              for poly in polys for a in product(range(poly.d), repeat=len(poly.vars))]
+    dens = (1, 1, 2, 3, 12)
+    for _ in range(80):
+        d, r = rng.randint(2, 6), rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            order = rng.choice((1, d, 2 * d, 3))
+            coeffs = [Fraction(rng.randint(-4, 4), rng.choice(dens)) for _ in range(rng.randint(1, order))]
+            terms[tuple(rng.randrange(d) for _ in range(r))] = CycNum(order, coeffs)
+        poly = MultiPoly(d, [f"x{j}" for j in range(r)], terms)
+        for _ in range(20):
+            orders = [rng.choice((1, 3, 5, d, 2 * d)) for _ in range(r)]
+            points.append((poly, [rng.choice((1, -1)) * embed(rng.randrange(L), L) for L in orders]))
+    for poly, point in points:
+        assert poly.eval(point).to_obj() == reference_eval(poly, point).to_obj(), (poly, point)
+    assert len(points) > 3000
+
+
+def test_eval_of_the_empty_polynomial_is_the_order_1_zero():
+    empty = MultiPoly(3, ("x", "y"), {(1, 2): embed(1, 3), (4, 5): -embed(1, 3)})
+    assert empty.is_zero()
+    assert empty.eval([embed(1, 3), embed(5, 6)]).to_obj() == {"order": 1, "coeffs": [[0, 1]]}
+
+
+@pytest.mark.parametrize("value", [0, 2, Fraction(1, 2), 1 - embed(1, 3), 1 + embed(1, 4)])
+def test_eval_rejects_a_coordinate_that_is_not_a_root_of_unity(value):
+    poly = MultiPoly(3, ("x", "y"), {(1, 2): 1})
+    with pytest.raises(ValueError, match="is not"):
+        poly.eval([embed(1, 3), value])

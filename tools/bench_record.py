@@ -12,14 +12,16 @@ pairs runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 once on each side for every workload of `BENCHMARK.json`, with the same seed
 (pair k uses seed k + 1) and the run length T of `BENCHMARK.json`; even pairs
 run the base first and odd pairs the change first.  After the timed pairs,
-one traced run (`--trace 1`) per side and workload records the per-layer
-metrics, the base first on even-numbered workloads and the change first on
-odd ones.  The benchmark itself, its corpora and its bounds are not touched.
+TRACED_PAIRS traced pairs (`--trace 1`) per workload give the per-layer
+metrics: traced pair k uses seed k + 1 and runs the base first when k is
+even, as the timed pairs do.  The benchmark itself, its corpora and its
+bounds are not touched.
 
-The record holds every run's JSON line and, per workload and end-to-end
-metric, each side's median and quartiles, the ratio of the medians
-(change / base) and how many pairs the change won in the direction that
-`BENCHMARK.json` calls better (ties count for neither side).
+The record holds every run's JSON line, traced runs included; per workload
+and end-to-end metric, each side's median and quartiles, the ratio of the
+medians (change / base) and how many pairs the change won in the direction
+that `BENCHMARK.json` calls better (ties count for neither side); and per
+workload and layer metric, each side's median and range over its traced runs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
+TRACED_PAIRS = 3
 
 
 def parse_args(argv):
@@ -131,6 +134,18 @@ def summarize(runs: dict, better: dict) -> dict:
     return out
 
 
+def layer_summary(traced: dict) -> dict:
+    """Per layer metric: its unit, and each side's median and range over its
+    traced runs."""
+    out = {}
+    for name, metric in traced["base"][0]["metrics"].items():
+        out[name] = {"unit": metric["unit"]}
+        for side, rs in traced.items():
+            values = [r["metrics"][name]["value"] for r in rs]
+            out[name][side] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
+    return out
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -145,6 +160,7 @@ def main(argv=None) -> int:
         "machine": f"{platform.machine()}, {platform.python_implementation()} {platform.python_version()}",
         "command": f"perfbench/run.py --seconds {seconds} --trace 0",
         "pairs": PAIRS,
+        "traced_pairs": TRACED_PAIRS,
         "workloads": {},
     }
     record["base"], base = archive(args.base)
@@ -158,14 +174,19 @@ def main(argv=None) -> int:
             pair = {s: runs[workload][s][-1]["metrics"]["ops_per_s"]["value"] for s in sides}
             print(f"pair {k} seed {seed} {workload}: ops/s base {pair['base']:.1f} "
                   f"change {pair['change']:.1f}", file=sys.stderr)
-    for i, workload in enumerate(workloads):
-        traced = {side: run_bench(sides[side], workload, 1, seconds, 1) for side in alternate(i)}
+    for workload in workloads:
+        traced = {"base": [], "change": []}
+        for k in range(TRACED_PAIRS):
+            for side in alternate(k):
+                traced[side].append(run_bench(sides[side], workload, k + 1, seconds, 1))
+            print(f"traced pair {k} seed {k + 1} {workload}", file=sys.stderr)
         record["workloads"][workload] = {
             "summary": summarize(runs[workload], better),
             "operations": {side: {k: sum(r[k] for r in rs) for k in ("failed", "attempted")}
                            for side, rs in runs[workload].items()},
             "correct": all(r["correct"] for rs in runs[workload].values() for r in rs),
-            "traced": {side: traced[side] for side in sides},
+            "layers": layer_summary(traced),
+            "traced": traced,
             "runs": runs[workload],
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -15,7 +15,8 @@ Covers, as SHA-256 digests:
 - `relation_polynomial(rel).format_terms()`, and each coefficient's `order`
   and `coeffs`, for every relation of `linear_language(2)`,
   `linear_language(3)` and the magic square and for seeded relations with
-  d <= 6 and arity <= 3;
+  d <= 6 and arity <= 3, and the `to_obj()` of each of these polynomials'
+  `eval` at every point of U_d^r;
 - `UniPoly.to_obj()` of `indicator_interpolant(S, d)` for every S with d <= 6;
 - `UniPoly.to_obj()` of `dom_polynomial(S, d)` for every S with d <= 7;
 - `serialize_instance(linear_system_instance(system))` for the systems of
@@ -234,6 +235,9 @@ def emit_dft_outputs():
         poly = relation_polynomial(rel)
         terms = [[list(e), c.to_obj()] for e, c in poly.sorted_terms()]
         print(f"{label} poly={digest(poly.format_terms())} terms={digest(json.dumps(terms))}")
+        values = [poly.eval([embed(k, rel.d) for k in a]).to_obj()
+                  for a in product(range(rel.d), repeat=rel.arity)]
+        print(f"{label} values={digest(json.dumps(values))}")
     for d in range(1, 7):
         for mask in range(2 ** d):
             members = [k for k in range(d) if mask >> k & 1]
