@@ -417,35 +417,42 @@ def search_space_size(inst: Instance) -> int:
     return inst.d ** len(inst.variables)
 
 
-def brute_force_solve(inst: Instance) -> dict | None:
-    """Lexicographically first satisfying assignment, or None when unsatisfiable.
+def search(domains, constraints):
+    """Each assignment of positions 0..n-1 (position i over domains[i], in its
+    order) that satisfies every (positions, tuples) constraint, as a tuple, in
+    lexicographic order; a constraint is checked once, when its last position
+    is set.  An explicit stack of iterators, not recursion: any n works, and
+    n = 0 yields ()."""
+    n = len(domains)
+    checks = [[] for _ in range(n)]
+    for positions, tuples in constraints:
+        checks[max(positions)].append((positions, tuples))
+    if not n:
+        yield ()
+        return
+    values = [None] * n
+    stack = [iter(domains[0])]
+    while stack:
+        i = len(stack) - 1
+        for a in stack[i]:
+            values[i] = a
+            if all(tuple([values[p] for p in pos]) in tuples for pos, tuples in checks[i]):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 < n:
+            stack.append(iter(domains[i + 1]))
+        else:
+            yield tuple(values)
 
-    Depth-first over variables in declaration order with values ascending, so
-    the first full assignment found is the lexicographic minimum of the
-    solution set.  Guarded at d^|V| <= 10^8.
-    """
+
+def brute_force_solve(inst: Instance) -> dict | None:
+    """Lexicographically first satisfying assignment (the first result of
+    `search`), or None when unsatisfiable.  Guarded at d^|V| <= 10^8."""
     if search_space_size(inst) > BRUTE_FORCE_GUARD:
         raise ValueError("search space exceeds the brute-force guard")
-    n = len(inst.variables)
     index = {v: i for i, v in enumerate(inst.variables)}
-    # constraints become checkable once their latest-indexed variable is set
-    by_depth = [[] for _ in range(n + 1)]
-    for c in inst.constraints:
-        positions = [index[v] for v in c.scope]
-        by_depth[max(positions)].append((positions, inst.relation_of(c).tuples))
-    values = [0] * n
-
-    def extend(i: int):
-        if i == n:
-            return True
-        for a in range(inst.d):
-            values[i] = a
-            if all(tuple(values[p] for p in pos) in tuples for pos, tuples in by_depth[i]):
-                if extend(i + 1):
-                    return True
-        return False
-
-    if extend(0):
-        return {v: values[index[v]] for v in inst.variables}
-    return None
-
+    constraints = [([index[v] for v in c.scope], inst.relation_of(c).tuples) for c in inst.constraints]
+    first = next(search([range(inst.d)] * len(inst.variables), constraints), None)
+    return None if first is None else dict(zip(inst.variables, first))

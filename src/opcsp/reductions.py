@@ -8,6 +8,7 @@ transports that carry operator assignments across the last two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, product
 from math import lcm
 
@@ -22,6 +23,7 @@ from .csp_core import (
     equality_relation,
     full_relation,
     make_instance,
+    search,
 )
 from .cyclotomic import UniPoly, embed
 from .fourier import circle_idft
@@ -83,18 +85,20 @@ class PPFormula:
         return cls(_int(obj["arity"], "arity"), _int(obj["exists"], "exists"), tuple(atoms))
 
 
-def _pp_witness(formula: PPFormula, language: Language, point: tuple):
-    """Lexicographically first assignment of the existential variables that
-    satisfies every atom together with the output values `point`, or None."""
+def _pp_witness(formula: PPFormula, language: Language):
+    """The map from output values `point` to the lexicographically first
+    assignment of the existential variables that satisfies every atom with
+    them, or None: the first `search` result with the outputs pinned, over
+    the atoms' constraints, built once."""
+    equal = equality_relation(language.d).tuples
+    constraints = [(atom.vars, equal if atom.rel == EQUALITY else language[atom.rel].tuples)
+                   for atom in formula.atoms]
+    exist = [range(language.d)] * formula.exist
 
-    def holds(atom, values) -> bool:
-        sub = tuple(values[i] for i in atom.vars)
-        return sub[0] == sub[1] if atom.rel == EQUALITY else sub in language[atom.rel]
-
-    for cand in product(range(language.d), repeat=formula.exist):
-        if all(holds(atom, point + cand) for atom in formula.atoms):
-            return cand
-    return None
+    def witness(point: tuple):
+        found = next(search([(a,) for a in point] + exist, constraints), None)
+        return None if found is None else found[formula.arity:]
+    return witness
 
 
 def pp_evaluate(formula: PPFormula, language: Language) -> Relation:
@@ -112,10 +116,8 @@ def pp_evaluate(formula: PPFormula, language: Language) -> Relation:
         elif len(atom.vars) != 2:
             raise ValueError("equality atoms are binary")
 
-    tuples = frozenset(
-        outer for outer in product(range(d), repeat=r)
-        if _pp_witness(formula, language, outer) is not None
-    )
+    witness = _pp_witness(formula, language)
+    tuples = frozenset(outer for outer in product(range(d), repeat=r) if witness(outer) is not None)
     return Relation(r, d, tuples)
 
 
@@ -298,25 +300,21 @@ def _relabeled(inst: Instance, d: int, relations: dict, poly: UniPoly):
 # Endomorphisms, cores, constants
 
 
-def endomorphisms(language: Language) -> list[UnaryMap]:
-    """All unary maps preserving every relation, in lexicographic order."""
+def _endomorphism_tables(language: Language):
+    """The value tables of the unary maps preserving every relation, in
+    lexicographic order, streamed from `search`: the variables are the domain
+    values, and each tuple t of each relation R is the constraint
+    R(f(t_1), ..., f(t_r)).  Raises on the guard before returning."""
     d = language.d
     if d > ENDO_GUARD:
         raise ValueError(f"endomorphism enumeration is guarded at d <= {ENDO_GUARD}")
-    rels = [language[name] for name in sorted(language.relations)]
-    out = []
-    for table in product(range(d), repeat=d):
-        ok = True
-        for rel in rels:
-            for t in rel.tuples:
-                if tuple(table[a] for a in t) not in rel.tuples:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(UnaryMap(d, d, table))
-    return out
+    constraints = [(t, rel.tuples) for rel in language.relations.values() for t in rel.tuples]
+    return search([range(d)] * d, constraints)
+
+
+def endomorphisms(language: Language) -> list[UnaryMap]:
+    """All unary maps preserving every relation, in lexicographic order."""
+    return [UnaryMap(language.d, language.d, table) for table in _endomorphism_tables(language)]
 
 
 def core(language: Language) -> tuple[UnaryMap, Language, UnaryMap]:
@@ -327,8 +325,8 @@ def core(language: Language) -> tuple[UnaryMap, Language, UnaryMap]:
     the idempotent endomorphism) and restricts to an order-preserving
     bijection from the endomorphism's image onto 0..e-1.
     """
-    endos = endomorphisms(language)
-    rho = min(endos, key=lambda m: (len(set(m.table)), m.table))
+    table = min(_endomorphism_tables(language), key=lambda t: (len(set(t)), t))
+    rho = UnaryMap(language.d, language.d, table)
     power = rho
     while power.compose(power) != power:
         power = power.compose(rho)
@@ -360,13 +358,12 @@ def endomorphism_relation(language: Language) -> Relation:
     For a core language every listed tuple is a permutation of the whole
     domain; a non-core input is rejected.
     """
-    endos = endomorphisms(language)
     d = language.d
     tuples = set()
-    for m in endos:
-        if len(set(m.table)) != d:
+    for table in _endomorphism_tables(language):
+        if len(set(table)) != d:
             raise ValueError("language is not a core: found a non-permutation endomorphism")
-        tuples.add(m.table)
+        tuples.add(table)
     return Relation(d, d, frozenset(tuples))
 
 
@@ -510,18 +507,7 @@ def lift_assignment(
     base_lang = inst.language.without(target)
     rel = inst.language[target]
     d = inst.d
-    witnesses_cache: dict[tuple, tuple] = {}
-
-    def witness_for(point: tuple) -> tuple:
-        if point not in witnesses_cache:
-            cand = _pp_witness(formula, base_lang, point)
-            if cand is None:
-                raise ValueError(
-                    f"tuple {point} admits no witness; formula does not define the target"
-                )
-            witnesses_cache[point] = cand
-        return witnesses_cache[point]
-
+    witness = cache(_pp_witness(formula, base_lang))
     blocks = _gadget_blocks(inst, formula, target)
     out = dict(assignment.assign)
     for ci, c in enumerate(inst.constraints):
@@ -544,7 +530,9 @@ def lift_assignment(
                 raise ValueError(
                     "assignment does not satisfy the replaced constraint on a joint eigenspace"
                 )
-            slots.append(witness_for(point))
+            slots.append(witness(point))
+            if slots[-1] is None:
+                raise ValueError(f"tuple {point} admits no witness; formula does not define the target")
         for k, name in enumerate(blocks[ci]):
             diag = np.diag([root_value(slots[j][k], d) for j in range(assignment.dim)])
             out[name] = basis @ diag @ U

@@ -9,8 +9,10 @@ from opcsp.certificates import CheckResult
 from opcsp.consistency import LinearAcResult, full_domains
 from opcsp.csp_core import (
     BRUTE_FORCE_GUARD,
+    EQUALITY,
     Instance,
     Language,
+    Relation,
     make_instance,
     search_space_size,
     validate_assignment,
@@ -18,7 +20,7 @@ from opcsp.csp_core import (
 from opcsp.cyclotomic import ONE, ZERO, CycNum, UniPoly, cyclotomic_int_coeffs, embed
 from opcsp.fourier import MultiPoly, root_product
 from opcsp.gap_instances import LinearSystem, horn_language, shift_language, two_clause_language
-from opcsp.reductions import Congruence
+from opcsp.reductions import Congruence, PPAtom, PPFormula, UnaryMap
 
 
 def random_language_instance(
@@ -107,6 +109,84 @@ def seeded_congruences(seed: int, classes: int, count: int, max_d: int = 7) -> l
         if len(set(map(len, parts))) > 1:
             out.append(Congruence(d, parts))
     return out
+
+
+def random_language(rng: random.Random, d: int) -> Language:
+    """Zero to three relations r0, r1, ... of arity 1..3 over 0..d-1, each
+    keeping every tuple with a probability drawn from 0, 0.1, 0.2, 0.3, 0.5
+    and 1 (sparse ones often lack the constant tuples that make the core a
+    single value)."""
+    rels = {}
+    for i in range(rng.randint(0, 3)):
+        arity = rng.randint(1, 3)
+        density = rng.choice((0.0, 0.1, 0.2, 0.3, 0.5, 1.0))
+        tuples = frozenset(t for t in product(range(d), repeat=arity) if rng.random() < density)
+        rels[f"r{i}"] = Relation(arity, d, tuples)
+    return Language(d, rels)
+
+
+def seeded_languages(seed: int, count: int) -> list:
+    """`count` seeded languages with d = 2..5 (`random_language`)."""
+    rng = random.Random(seed)
+    return [random_language(rng, rng.randint(2, 5)) for _ in range(count)]
+
+
+def seeded_pp_formulas(seed: int, count: int) -> list:
+    """`count` seeded (language, formula) pairs: a `random_language` with
+    d = 2..4, and a formula of arity 1..3 with 0..3 existential variables
+    and 1..4 atoms over the language's relations and equality."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        lang = random_language(rng, rng.randint(2, 4))
+        arity, exist = rng.randint(1, 3), rng.randint(0, 3)
+        atoms = []
+        for _ in range(rng.randint(1, 4)):
+            name = rng.choice(sorted(lang.relations) + [EQUALITY])
+            k = 2 if name == EQUALITY else lang[name].arity
+            atoms.append(PPAtom(name, tuple(rng.randrange(arity + exist) for _ in range(k))))
+        out.append((lang, PPFormula(arity, exist, tuple(atoms))))
+    return out
+
+
+def reference_pp_witness(formula: PPFormula, language: Language, point: tuple):
+    """Lexicographically first existential assignment, by testing each of
+    the d^exist candidates in turn (differential oracle for `_pp_witness`)."""
+
+    def holds(atom, values) -> bool:
+        sub = tuple(values[i] for i in atom.vars)
+        return sub[0] == sub[1] if atom.rel == EQUALITY else sub in language[atom.rel]
+
+    for cand in product(range(language.d), repeat=formula.exist):
+        if all(holds(atom, point + cand) for atom in formula.atoms):
+            return cand
+    return None
+
+
+def reference_endomorphisms(language: Language) -> list:
+    """Every unary map preserving every relation, by testing each of the d^d
+    tables in lexicographic order (differential oracle for `endomorphisms`)."""
+    d = language.d
+    rels = [language[name] for name in sorted(language.relations)]
+    return [
+        UnaryMap(d, d, table) for table in product(range(d), repeat=d)
+        if all(tuple(table[a] for a in t) in rel.tuples for rel in rels for t in rel.tuples)
+    ]
+
+
+def reference_core(language: Language, endos: list):
+    """`core` from the whole list of the language's endomorphisms: its least
+    map by (image size, table), made idempotent, and the rank relabeling of
+    its image (differential oracle for the streaming minimum)."""
+    rho = min(endos, key=lambda m: (len(set(m.table)), m.table))
+    power = rho
+    while power.compose(power) != power:
+        power = power.compose(rho)
+    image = sorted(set(power.table))
+    rank = {v: i for i, v in enumerate(image)}
+    relabel = UnaryMap(language.d, len(image), tuple(rank[v] for v in power.table))
+    rels = {name: relabel.apply_relation(rel) for name, rel in language.relations.items()}
+    return power, Language(len(image), rels), relabel
 
 
 def iter_solutions(inst: Instance, limit: int | None = None):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opcsp.cli import dispatch
-from opcsp.csp_core import load_instance, make_instance, serialize_instance
+from opcsp.csp_core import brute_force_solve, load_instance, make_instance, serialize_instance
 from opcsp.gap_instances import magic_square, pauli_fixture
 from opcsp.operators import OperatorAssignment, operator_assignment_to_json
 
@@ -68,6 +68,38 @@ def test_solve_variable_free_instance(tmp_path):
     assert result.exit_code == 0
     assert result.stdout == "SAT\n"
     assert result.stderr == ""
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m opcsp.cli *argv` in a fresh process, on this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "opcsp.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_solve_deep_d1_instance(tmp_path):
+    """3,000 variables over d = 1, chained by equalities: deeper than
+    Python's recursion limit, so the search must hold no frame per variable."""
+    variables = [f"v{i}" for i in range(3000)]
+    inst = make_instance(1, variables, [(s, "eq") for s in zip(variables, variables[1:])], {"eq": [(0, 0)]})
+    assert brute_force_solve(inst) == dict.fromkeys(variables, 0)
+    path = tmp_path / "deep.inst"
+    path.write_text(serialize_instance(inst))
+    run = run_module("solve", str(path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[0] == "SAT"
+    assert "Traceback" not in run.stderr
+
+
+def test_reduce_core_of_the_d7_empty_language(tmp_path):
+    """All 7^7 maps are endomorphisms of the empty language; the core is
+    found by a streaming minimum over them, not a list of them."""
+    path = tmp_path / "empty7.inst"
+    path.write_text(json.dumps({"d": 7, "relations": {}, "variables": ["a"], "constraints": []}))
+    result = dispatch(["reduce", "core", str(path)])
+    assert result.exit_code == 0, result.stderr
+    assert load_instance(result.stdout) == make_instance(1, ["a"], [], {})
 
 
 def test_slac_magic_square(magic_path, tmp_path):
@@ -824,12 +856,7 @@ def test_malformed_document_exits_two(tmp_path, mutation):
 
 
 def test_module_entry_point():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-m", "opcsp.cli", "gen", "magic-square"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    run = run_module("gen", "magic-square")
     assert run.returncode == 0, run.stderr
     assert run.stdout == serialize_instance(magic_square()) + "\n"
 

@@ -2,6 +2,8 @@
 factoring, and the operator transports across all of them."""
 
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +18,7 @@ from opcsp.csp_core import (
     equality_relation,
     full_relation,
     make_instance,
+    search_space_size,
 )
 from opcsp.cyclotomic import CycNum, UniPoly, embed
 from opcsp.gap_instances import linear_system_instance, magic_square, parse_linear_system
@@ -50,7 +53,17 @@ from opcsp.reductions import (
     restrict_transport,
 )
 
-from helpers import iter_solutions, seeded_congruences
+from helpers import (
+    bounded_width_corpus,
+    iter_solutions,
+    linear_system_corpus,
+    reference_core,
+    reference_endomorphisms,
+    reference_pp_witness,
+    seeded_congruences,
+    seeded_languages,
+    seeded_pp_formulas,
+)
 
 
 def eq_language(d=2) -> Language:
@@ -268,6 +281,53 @@ def test_endomorphism_relation_rejects_non_core():
     lang = Language(2, {"f": full_relation(2, 2)})
     with pytest.raises(ValueError, match="core"):
         endomorphism_relation(lang)
+
+
+def test_search_matches_the_enumerations_it_replaced():
+    """`endomorphisms`, `core`, `endomorphism_relation`, `_pp_witness` and
+    `brute_force_solve` all run `csp_core.search`; each equals the product
+    loop or list-then-min enumeration it replaced, on seeded languages,
+    seeded formulas and the solver corpora."""
+    cores = non_cores = 0
+    for lang in seeded_languages(2027, 300):
+        endos = reference_endomorphisms(lang)
+        assert endomorphisms(lang) == endos
+        assert core(lang) == reference_core(lang, endos)
+        if all(m.is_injective() for m in endos):
+            cores += 1
+            assert endomorphism_relation(lang) == Relation(lang.d, lang.d, frozenset(m.table for m in endos))
+        else:
+            non_cores += 1
+            with pytest.raises(ValueError, match="not a core"):
+                endomorphism_relation(lang)
+    assert cores >= 30 and non_cores >= 150
+    witnesses = Counter()
+    for lang, formula in seeded_pp_formulas(2027, 200):
+        witness = reductions._pp_witness(formula, lang)
+        for point in product(range(lang.d), repeat=formula.arity):
+            found = witness(point)
+            assert found == reference_pp_witness(formula, lang, point)
+            witnesses[found is None] += 1
+    assert min(witnesses.values()) >= 500
+    systems = [linear_system_instance(s) for label, s in linear_system_corpus(3, 200) if label.startswith("seeded")]
+    systems = [inst for inst in systems if search_space_size(inst) <= 3 ** 9][:50]
+    assert len(systems) == 50
+    for inst in bounded_width_corpus(1234, 200) + [magic_square()] + systems:
+        assert brute_force_solve(inst) == next(iter_solutions(inst, limit=1), None)
+
+
+def test_core_streams_the_endomorphisms():
+    """All 6^6 maps preserve the empty language; `core` keeps none of them
+    in a list, so its traced peak stays far below the 9 MB that a list of
+    46,656 UnaryMaps takes."""
+    tracemalloc.start()
+    try:
+        rho, core_lang, relabel = core(Language(6, {}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.table == (0,) * 6 and core_lang.d == 1 and relabel.table == (0,) * 6
+    assert peak < 10 ** 6
 
 
 def core_language_d2() -> dict:

@@ -41,7 +41,11 @@ Covers, as SHA-256 digests:
   through each transport;
 - the mapped instance document and the interpolant of `factor_transport` on
   the magic square and on a Z_3 system, for the seeded congruences of
-  `helpers.seeded_congruences` (unequal class sizes, theta.d <= 7).
+  `helpers.seeded_congruences` (unequal class sizes, theta.d <= 7);
+- the `core` of each of 300 seeded languages (`helpers.seeded_languages`,
+  d = 2..5): the endomorphism, the relabeling and the core relations; and
+  the tuples of `pp_evaluate` for each of 200 seeded formulas
+  (`helpers.seeded_pp_formulas`).
 
 It also prints, in plain text, each `linear_ac` probe that `slac` makes on the
 bounded-width corpora: its verdict and its fact count, `len(result.store)`,
@@ -149,6 +153,8 @@ from helpers import (
     linear_system_corpus,
     minimal_conflict_instance,
     seeded_congruences,
+    seeded_languages,
+    seeded_pp_formulas,
     type_mutations,
 )
 
@@ -284,6 +290,17 @@ def emit_dft_outputs():
                 f"inst={digest(serialize_instance(mapped))} "
                 f"poly={[digest(json.dumps(p.to_obj())) for p in polys]}"
             )
+
+
+def emit_search_outputs():
+    for i, lang in enumerate(seeded_languages(31, 300)):
+        rho, core_lang, relabel = reductions.core(lang)
+        rels = {name: rel.sorted_tuples() for name, rel in core_lang.relations.items()}
+        objs = [rho.table, relabel.table, core_lang.d, rels]
+        print(f"core#{i} d={lang.d} {digest(json.dumps(objs, sort_keys=True))}")
+    for i, (lang, formula) in enumerate(seeded_pp_formulas(31, 200)):
+        tuples = reductions.pp_evaluate(formula, lang).sorted_tuples()
+        print(f"pp#{i} d={lang.d} {digest(json.dumps(tuples))}")
 
 
 def random_cycnum(rng: random.Random, order: int) -> CycNum:
@@ -578,6 +595,7 @@ def main(argv=None) -> int:
         return compare(args.base)
     emit_outputs()
     emit_dft_outputs()
+    emit_search_outputs()
     emit_field_outputs()
     emit_encoder_outputs()
     emit_diagonalize_outputs()
