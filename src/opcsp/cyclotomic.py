@@ -71,11 +71,6 @@ def cyclotomic_int_coeffs(L: int) -> tuple[int, ...]:
     return tuple(q)
 
 
-def phi_degree(L: int) -> int:
-    """Degree of Phi_L, i.e. Euler's totient of L."""
-    return len(cyclotomic_int_coeffs(L)) - 1
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -353,22 +348,12 @@ class UniPoly:
     def x(cls) -> "UniPoly":
         return cls([0, 1])
 
-    @classmethod
-    def x_pow_minus_one(cls, d: int) -> "UniPoly":
-        vec = [CycNum.from_rational(-1)] + [ZERO] * (d - 1) + [ONE]
-        return cls(vec)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def leading(self) -> CycNum:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
@@ -398,28 +383,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
-        inv_lead = other.leading().inverse()
-        dlen = len(other.coeffs)
-        while len(rem) >= dlen:
-            coef = rem[-1] * inv_lead
-            shift = len(rem) - dlen
-            quo[shift] = coef
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - coef * c
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if not rem:
-                break
-        return UniPoly(quo), UniPoly(rem)
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
     def eval(self, point) -> CycNum:
         point = CycNum._coerce(point)
         acc = ZERO
@@ -448,17 +411,185 @@ class UniPoly:
         return f"UniPoly({self})"
 
 
+
+
+# ---------------------------------------------------------------------------
+# Row kernel: UniPoly arithmetic on plain integer rows at one order.
+
+
+@lru_cache(maxsize=None)
+def _descent(o: int, L: int) -> list:
+    """A left inverse of the lift Q(zeta_o) -> Q(zeta_L) on rows (o divides L),
+    as Fraction rows: applied to the order-L row of a value of Q(zeta_o), it
+    gives the value's row at order o.  Gauss-Jordan on [A | I], where the
+    columns of A are the lifted basis zeta_o^i."""
+    cols = [CycNum.root_of_unity(i * (L // o), L).num for i in range(len(cyclotomic_int_coeffs(o)) - 1)]
+    k, n = len(cols), len(cols[0])
+    rows = [[Fraction(col[r]) for col in cols] + [Fraction(int(r == s)) for s in range(n)] for r in range(n)]
+    for j in range(k):
+        p = next(r for r in range(j, n) if rows[r][j])
+        rows[j], rows[p] = rows[p], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for r in range(n):
+            f = rows[r][j]
+            if r != j and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[j])]
+    return [row[k:] for row in rows[:k]]
+
+
+class _Rows:
+    """UniPoly's steps on integer rows in Q(zeta_L), for one L.
+
+    A coefficient is (tag, row, den): the value row/den over zeta_L^0 ..
+    zeta_L^(phi(L)-1), reduced modulo Phi_L and in lowest terms, and `tag`,
+    the order CycNum arithmetic would have computed it at: the lcm of its
+    operands' tags, and 1 for a slot nothing writes (so a tag-1 value is
+    rational).  A polynomial is a list of coefficients, lowest degree first,
+    with no trailing zero.  Each method repeats the UniPoly or CycNum step it
+    names one for one, so values, zero tests, lengths and tags equal those of
+    the CycNum computation, and `poly_out` gives its bytes."""
+
+    def __init__(self, L: int):
+        phi = cyclotomic_int_coeffs(L)
+        self.L, self.deg = L, len(phi) - 1
+        self.low = [(i, c) for i, c in enumerate(phi[:-1]) if c]
+        self.zero = (1, (0,) * self.deg, 1)
+        self.one = (1, (1,) + (0,) * (self.deg - 1), 1)
+
+    def _reduce(self, num: list) -> list:
+        L, deg = self.L, self.deg
+        for top in range(L, len(num)):  # zeta_L^L = 1
+            num[top - L] += num[top]
+        del num[L:]
+        for top in range(len(num) - 1, deg - 1, -1):
+            lead = num[top]
+            if lead:
+                for i, c in self.low:
+                    num[top - deg + i] -= lead * c
+        del num[deg:]
+        return num
+
+    @staticmethod
+    def _lowest(tag: int, num: list, den: int) -> tuple:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        return tag, num, den
+
+    # -- coefficients: CycNum's +, -, * and inverse --------------------
+
+    def add(self, a, b, sign: int = 1) -> tuple:
+        (ta, ra, da), (tb, rb, db) = a, b
+        tag = ta if ta == tb else lcm(ta, tb)
+        if not any(rb):
+            return tag, ra, da
+        if sign < 0:
+            rb = [-c for c in rb]
+        if not any(ra):
+            return tag, rb, db
+        if da == db:
+            return self._lowest(tag, [x + y for x, y in zip(ra, rb)], da)
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        return self._lowest(tag, [x * sa + y * sb for x, y in zip(ra, rb)], den)
+
+    def mul(self, a, b) -> tuple:
+        (ta, ra, da), (tb, rb, db) = a, b
+        if ta == 1:
+            s = ra[0]
+            return self._lowest(tb, [c * s for c in rb], da * db)
+        if tb == 1:
+            s = rb[0]
+            return self._lowest(ta, [c * s for c in ra], da * db)
+        tag = ta if ta == tb else lcm(ta, tb)
+        num = [0] * (2 * self.deg - 1)
+        for i, x in enumerate(ra):
+            if x:
+                for j, y in enumerate(rb, i):
+                    num[j] += x * y
+        return self._lowest(tag, self._reduce(num), da * db)
+
+    def inverse(self, a) -> tuple:
+        """CycNum.inverse at order L, keeping the tag (a rational is a scalar)."""
+        t, r, den = a
+        if not any(r[1:]):
+            return t, [den if r[0] > 0 else -den] + [0] * (self.deg - 1), abs(r[0])
+        inv = CycNum._of(self.L, list(r), den).inverse()
+        return t, inv.num, inv.den
+
+    # -- polynomials ----------------------------------------------------
+
+    @staticmethod
+    def strip(p: list) -> list:
+        while p and not any(p[-1][1]):
+            p.pop()
+        return p
+
+    def add_poly(self, p: list, q: list, sign: int = 1) -> list:
+        """UniPoly.__add__, or __sub__ (add the negation) for sign -1."""
+        out = [self.add(x, y, sign) for x, y in zip(p, q)]
+        if len(p) >= len(q):
+            out += p[len(q):]
+        else:
+            out += q[len(p):] if sign > 0 else [(t, [-c for c in r], den) for t, r, den in q[len(p):]]
+        return self.strip(out)
+
+    def mul_poly(self, p: list, q: list) -> list:
+        """UniPoly.__mul__: every slot starts as the order-1 zero, and zero
+        left-hand coefficients are skipped."""
+        out = [self.zero] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            if any(x[1]):
+                for j, y in enumerate(q, i):
+                    out[j] = self.add(out[j], self.mul(x, y))
+        return self.strip(out)
+
+    def divmod(self, a: list, b: list) -> tuple[list, list]:
+        """UniPoly.divmod by a nonzero b: its leading coefficient is inverted
+        once, each step writes one quotient slot (unwritten slots stay the
+        order-1 zero), and the loop stops on an empty remainder."""
+        rem = list(a)
+        quo = [self.zero] * max(len(a) - len(b) + 1, 0)
+        inv = self.inverse(b[-1])
+        n = len(b) - 1
+        while len(rem) > n:
+            shift = len(rem) - 1 - n
+            coef = quo[shift] = self.mul(rem.pop(), inv)  # the top slot cancels exactly
+            for i, c in enumerate(b[:-1], shift):
+                rem[i] = self.add(rem[i], self.mul(coef, c), -1)
+            self.strip(rem)
+        return quo, rem
+
+    # -- conversion -----------------------------------------------------
+
+    def poly_in(self, p: UniPoly) -> list:
+        return [(c.order, c.lift(self.L).num, c.den) for c in p.coeffs]
+
+    def poly_out(self, p: list) -> UniPoly:
+        return UniPoly([
+            CycNum._of(t, list(r), den) if t == self.L else CycNum._of(1, [r[0]], den) if t == 1
+            else CycNum(t, [sum(x * y for x, y in zip(b, r)) / den for b in _descent(t, self.L)])
+            for t, r, den in p
+        ])
+
+
 def poly_ext_gcd(p: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended Euclid over Q(zeta): returns monic g and u, v with u*p + v*m = g."""
+    """Extended Euclid over Q(zeta): returns monic g and u, v with u*p + v*m = g.
+
+    Runs on integer rows at the lcm of the coefficients' orders (`_Rows`),
+    with UniPoly's steps, so every coefficient comes out at the order UniPoly
+    arithmetic gives it."""
     if p.is_zero() and m.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
-    r0, r1 = p, m
-    u0, u1 = UniPoly.constant(1), UniPoly()
-    v0, v1 = UniPoly(), UniPoly.constant(1)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
+    F = _Rows(lcm(1, *(c.order for c in p.coeffs + m.coeffs)))
+    r0, r1 = F.poly_in(p), F.poly_in(m)
+    u0, u1 = [F.one], []
+    v0, v1 = [], [F.one]
+    while r1:
+        q, r = F.divmod(r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    lead_inv = r0.leading().inverse()
-    return r0 * lead_inv, u0 * lead_inv, v0 * lead_inv
+        u0, u1 = u1, F.add_poly(u0, F.mul_poly(q, u1), -1)
+        v0, v1 = v1, F.add_poly(v0, F.mul_poly(q, v1), -1)
+    inv = F.inverse(r0[-1])
+    return tuple(F.poly_out(F.strip([F.mul(c, inv) for c in x])) for x in (r0, u0, v0))

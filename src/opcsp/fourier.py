@@ -20,7 +20,7 @@ from math import lcm
 from operator import mul
 
 from .csp_core import Relation
-from .cyclotomic import ONE, ZERO, CycNum, UniPoly, embed, poly_ext_gcd, root_index
+from .cyclotomic import ONE, ZERO, CycNum, UniPoly, _Rows, embed, poly_ext_gcd, root_index
 
 
 class MultiPoly:
@@ -212,12 +212,19 @@ def relation_polynomial(rel: Relation, variables=None) -> MultiPoly:
 def dom_polynomial(S, d: int) -> UniPoly:
     """Membership polynomial of S inside U_d: the product of (lambda_k - x)
     over k in S, plus one.  Its value is 1 exactly on the elements of S."""
+    F = _Rows(d)
+    return F.poly_out(_dom_rows(F, S))
+
+
+def _dom_rows(F: _Rows, S) -> list:
     S = sorted(set(S))
     for k in S:
-        if not 0 <= k < d:
-            raise ValueError(f"set element {k} outside 0..{d - 1}")
-    p = root_product(S, d)
-    return (-p if len(S) % 2 else p) + UniPoly.constant(1)
+        if not 0 <= k < F.L:
+            raise ValueError(f"set element {k} outside 0..{F.L - 1}")
+    p = _root_rows(F, S)
+    if len(S) % 2:
+        p = F.add_poly([], p, -1)
+    return F.add_poly(p, [F.one])
 
 
 def complement(S, d: int) -> frozenset:
@@ -247,16 +254,22 @@ def rule_polynomial(S, rel: Relation, S2, i: int, j: int, variables=None) -> Mul
 
 def root_product(S, d: int) -> UniPoly:
     """The monic product of (x - lambda_k) over k in S (empty product is 1)."""
-    p = UniPoly.constant(1)
-    x = UniPoly.x()
+    F = _Rows(d)
+    return F.poly_out(_root_rows(F, S))
+
+
+def _root_rows(F: _Rows, S) -> list:
+    # p * (x - lambda_k) for each k, on the rows of F = _Rows(d), with the
+    # orders UniPoly arithmetic gives: lambda_k at order d, x and 1 at order 1
+    p = [F.one]
     for k in sorted(set(S)):
-        p = p * (x - UniPoly.constant(embed(k, d)))
+        p = F.mul_poly(p, [(F.L, [-c for c in embed(k, F.L).num], 1), F.one])
     return p
 
 
 def _inverse_mod_circle(p: UniPoly, d: int) -> tuple[UniPoly, CycNum]:
     """Witness (q, c) with p*q = c modulo x^d - 1 and c nonzero."""
-    m = UniPoly.x_pow_minus_one(d)
+    m = UniPoly([-1] + [0] * (d - 1) + [1])
     if p.is_zero():
         raise ValueError("zero polynomial has no inverse modulo x^d - 1")
     if p.degree == 0:
@@ -274,8 +287,9 @@ def dom_gap_inverse(S, d: int) -> tuple[UniPoly, CycNum]:
     S = frozenset(S)
     if not S or S == frozenset(range(d)):
         raise ValueError("S must be a proper nonempty subset of the domain")
-    p = root_product(S, d) - root_product(complement(S, d), d)
-    return _inverse_mod_circle(p, d)
+    F = _Rows(d)
+    p = F.add_poly(_root_rows(F, S), _root_rows(F, complement(S, d)), -1)
+    return _inverse_mod_circle(F.poly_out(p), d)
 
 
 def dom_difference_inverse(S, d: int) -> tuple[UniPoly, CycNum]:
@@ -283,5 +297,6 @@ def dom_difference_inverse(S, d: int) -> tuple[UniPoly, CycNum]:
     modulo x^d - 1.  This is the difference that appears when two adjacent
     chain identities are joined, and it has no roots in U_d for any S, so the
     witness always exists."""
-    p = dom_polynomial(S, d) - dom_polynomial(complement(S, d), d)
-    return _inverse_mod_circle(p, d)
+    F = _Rows(d)
+    p = F.add_poly(_dom_rows(F, S), _dom_rows(F, complement(S, d)), -1)
+    return _inverse_mod_circle(F.poly_out(p), d)

@@ -354,6 +354,79 @@ def reference_eval(poly: MultiPoly, point) -> CycNum:
     return total
 
 
+def phi_degree(L: int) -> int:
+    """Degree of Phi_L, i.e. Euler's totient of L."""
+    return len(cyclotomic_int_coeffs(L)) - 1
+
+
+def x_pow_minus_one(d: int) -> UniPoly:
+    return UniPoly([CycNum.from_rational(-1)] + [ZERO] * (d - 1) + [ONE])
+
+
+def leading(p: UniPoly) -> CycNum:
+    if p.is_zero():
+        raise ValueError("zero polynomial has no leading coefficient")
+    return p.coeffs[-1]
+
+
+def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Long division over Q(zeta) in CycNum arithmetic."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    quo = [ZERO] * max(len(rem) - len(b.coeffs) + 1, 0)
+    inv_lead = leading(b).inverse()
+    dlen = len(b.coeffs)
+    while len(rem) >= dlen:
+        coef = rem[-1] * inv_lead
+        shift = len(rem) - dlen
+        quo[shift] = coef
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] = rem[shift + i] - coef * c
+        while rem and rem[-1].is_zero():
+            rem.pop()
+        if not rem:
+            break
+    return UniPoly(quo), UniPoly(rem)
+
+
+def poly_mod(a: UniPoly, b: UniPoly) -> UniPoly:
+    return poly_divmod(a, b)[1]
+
+
+def reference_ext_gcd(p: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """Extended Euclid in CycNum arithmetic (differential oracle for the
+    row kernel of `poly_ext_gcd`, wire orders included)."""
+    if p.is_zero() and m.is_zero():
+        raise ValueError("gcd of two zero polynomials is undefined")
+    r0, r1 = p, m
+    u0, u1 = UniPoly.constant(1), UniPoly()
+    v0, v1 = UniPoly(), UniPoly.constant(1)
+    while not r1.is_zero():
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    lead_inv = leading(r0).inverse()
+    return r0 * lead_inv, u0 * lead_inv, v0 * lead_inv
+
+
+def reference_root_product(S, d: int) -> UniPoly:
+    """`root_product` in UniPoly arithmetic (differential oracle)."""
+    p = UniPoly.constant(1)
+    x = UniPoly.x()
+    for k in sorted(set(S)):
+        p = p * (x - UniPoly.constant(embed(k, d)))
+    return p
+
+
+def reference_dom_polynomial(S, d: int) -> UniPoly:
+    """`dom_polynomial` in UniPoly arithmetic (differential oracle)."""
+    S = sorted(set(S))
+    p = reference_root_product(S, d)
+    return (-p if len(S) % 2 else p) + UniPoly.constant(1)
+
+
 def cyclotomic_polynomial(L: int) -> UniPoly:
     """Phi_L as a UniPoly with rational coefficients."""
     return UniPoly([CycNum.from_rational(c) for c in cyclotomic_int_coeffs(L)])

@@ -1,5 +1,6 @@
 """Relation polynomials, domain polynomials, and modular inverse witnesses."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ from itertools import product
 import pytest
 
 from opcsp.csp_core import Relation, full_relation
-from opcsp.cyclotomic import ONE, ZERO, CycNum, UniPoly, embed
+from opcsp.cyclotomic import ONE, ZERO, CycNum, UniPoly, embed, poly_ext_gcd
 from opcsp.fourier import (
     MultiPoly,
     complement,
@@ -20,7 +21,14 @@ from opcsp.fourier import (
 )
 from opcsp.gap_instances import linear_language, parity_relation, zero_sum_relation
 
-from helpers import reference_eval
+from helpers import (
+    poly_mod,
+    reference_dom_polynomial,
+    reference_eval,
+    reference_ext_gcd,
+    reference_root_product,
+    x_pow_minus_one,
+)
 
 
 def poly_matches_relation(rel: Relation) -> bool:
@@ -213,7 +221,7 @@ def test_dom_gap_inverse_examples():
     p3 = root_product({0}, 3) - root_product({1, 2}, 3)
     assert p3 == UniPoly([-2, 0, -1])
     assert not c3.is_zero()
-    residue = (p3 * q3 - UniPoly.constant(c3)) % UniPoly.x_pow_minus_one(3)
+    residue = poly_mod(p3 * q3 - UniPoly.constant(c3), x_pow_minus_one(3))
     assert residue.is_zero()
 
 
@@ -226,24 +234,24 @@ def test_dom_gap_inverse_guards():
 
 def test_dom_gap_inverse_all_proper_subsets_up_to_six():
     for d in range(2, 7):
-        circle = UniPoly.x_pow_minus_one(d)
+        circle = x_pow_minus_one(d)
         for mask in range(1, 2 ** d - 1):
             S = {k for k in range(d) if mask >> k & 1}
             q, c = dom_gap_inverse(S, d)
             assert not c.is_zero()
             p = root_product(S, d) - root_product(complement(S, d), d)
-            assert ((p * q - UniPoly.constant(c)) % circle).is_zero()
+            assert poly_mod(p * q - UniPoly.constant(c), circle).is_zero()
 
 
 def test_dom_difference_inverse_every_subset():
     for d in range(2, 6):
-        circle = UniPoly.x_pow_minus_one(d)
+        circle = x_pow_minus_one(d)
         for mask in range(2 ** d):
             S = {k for k in range(d) if mask >> k & 1}
             q, c = dom_difference_inverse(S, d)
             assert not c.is_zero()
             p = dom_polynomial(S, d) - dom_polynomial(complement(S, d), d)
-            assert ((p * q - UniPoly.constant(c)) % circle).is_zero()
+            assert poly_mod(p * q - UniPoly.constant(c), circle).is_zero()
 
 
 def dft_witness(S, d: int) -> tuple:
@@ -274,6 +282,79 @@ def test_dft_witness_equals_euclids():
             assert q == want_q and c == want_c, (d, S)
             count += 1
     assert count == 240
+
+
+def proper_subsets(d: int):
+    for mask in range(1, 2 ** d - 1):
+        yield [k for k in range(d) if mask >> k & 1]
+
+
+def reference_witness(p: UniPoly, d: int) -> tuple:
+    # `_inverse_mod_circle` over the CycNum oracles
+    if p.degree == 0:
+        return UniPoly.constant(1), p.coeffs[0]
+    return reference_ext_gcd(p, x_pow_minus_one(d))[1], ONE
+
+
+def test_root_and_dom_polynomials_match_the_cycnum_oracles():
+    """The row kernel writes every coefficient at the order UniPoly
+    arithmetic gives it: `to_obj()` is equal, orders included, for every
+    S with d <= 9."""
+    for d in range(1, 10):
+        for mask in range(2 ** d):
+            S = [k for k in range(d) if mask >> k & 1]
+            assert root_product(S, d).to_obj() == reference_root_product(S, d).to_obj(), (d, S)
+            assert dom_polynomial(S, d).to_obj() == reference_dom_polynomial(S, d).to_obj(), (d, S)
+    # UniPoly.__mul__ skips the zero x^1 coefficient of (x^2 - x + 1)(x + 1), so x^2 stays the order-1 zero
+    assert root_product({0, 2, 4, 5}, 6).coeffs[2].to_obj() == {"order": 1, "coeffs": [[0, 1]]}
+
+
+def test_witnesses_match_the_cycnum_oracles():
+    """`dom_difference_inverse` for every proper S with d <= 8 and
+    `dom_gap_inverse` for d <= 7 equal Euclid in CycNum arithmetic, byte
+    for byte; some of these witnesses mix order-1 and order-d coefficients."""
+    for d in range(2, 9):
+        for S in proper_subsets(d):
+            comp = complement(S, d)
+            p = reference_dom_polynomial(S, d) - reference_dom_polynomial(comp, d)
+            got, want = dom_difference_inverse(S, d), reference_witness(p, d)
+            assert [x.to_obj() for x in got] == [x.to_obj() for x in want], (d, S)
+            if d <= 7:
+                p = reference_root_product(S, d) - reference_root_product(comp, d)
+                got, want = dom_gap_inverse(S, d), reference_witness(p, d)
+                assert [x.to_obj() for x in got] == [x.to_obj() for x in want], (d, S)
+    q, c = dom_difference_inverse([0, 1], 4)
+    assert [x.order for x in q.coeffs] == [1, 1, 1, 4]
+    assert q.coeffs[3].to_obj() == {"order": 4, "coeffs": [[-1, 4], [1, 4]]} and c == 1
+
+
+def test_ext_gcd_matches_the_cycnum_oracle_on_mixed_orders():
+    """300 seeded pairs with coefficients at orders 1, 2, 3, 4 and 6.  A
+    coefficient whose order is neither 1 nor the lcm L of the inputs' orders
+    is brought down from the kernel's order L; some pairs need that."""
+    rng = random.Random(28)
+
+    def rand_poly():
+        coeffs = []
+        for _ in range(rng.randint(1, 6)):
+            order = rng.choice((1, 2, 3, 4, 6))
+            c = CycNum.from_rational(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+            if order > 1 and rng.random() < 0.6:
+                c = c + embed(rng.randrange(order), order)
+            coeffs.append(c)
+        return UniPoly(coeffs)
+
+    pairs = descended = 0
+    while pairs < 300:
+        p, m = rand_poly(), rand_poly()
+        if p.is_zero() and m.is_zero():
+            continue
+        got = [x.to_obj() for x in poly_ext_gcd(p, m)]
+        assert got == [x.to_obj() for x in reference_ext_gcd(p, m)], pairs
+        L = math.lcm(1, *(c.order for c in p.coeffs + m.coeffs))
+        descended += any(c["order"] not in (1, L) for x in got for c in x["coeffs"])
+        pairs += 1
+    assert descended > 0
 
 
 def test_multipoly_eval_examples():

@@ -7,7 +7,11 @@ Both sides are packed the same way: the base commit by `git archive`, the
 change side as the files of this checkout that git tracks, read from the
 working tree, so uncommitted edits count.  Every run unpacks its side into a
 fresh temporary directory of its own, named alike for both sides, and
-removes it afterwards, so neither side runs from a fixed path.  Each of ten
+removes it afterwards, so neither side runs from a fixed path.  Before each
+run, untimed, `python -m compileall -q src perfbench` compiles the unpacked
+tree with bytecode writing on for that command only, so a run under
+PYTHONDONTWRITEBYTECODE=1 imports both sides from bytecode rather than from
+source; the record's `machine` field says so.  Each of ten
 pairs runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 once on each side for every workload of `BENCHMARK.json`, with the same seed
 (pair k uses seed k + 1) and the run length T of `BENCHMARK.json`; even pairs
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -87,7 +92,14 @@ def run_bench(packed: bytes, workload: str, seed: int, seconds: float, trace: in
     """One benchmark run, from a fresh directory that holds the unpacked side."""
     with tempfile.TemporaryDirectory(prefix="bench-run-") as tmp:
         unpack(packed, Path(tmp))
+        compile_tree(Path(tmp))
         return run_checkout(Path(tmp), workload, seed, seconds, trace)
+
+
+def compile_tree(checkout: Path) -> None:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=checkout,
+                   env=env, check=True, capture_output=True)
 
 
 def run_checkout(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -157,7 +169,8 @@ def main(argv=None) -> int:
         "change": "working tree on " + subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True
         ).stdout.strip(),
-        "machine": f"{platform.machine()}, {platform.python_implementation()} {platform.python_version()}",
+        "machine": f"{platform.machine()}, {platform.python_implementation()} {platform.python_version()}, "
+                   "each run's tree compiled (compileall src perfbench) before it runs",
         "command": f"perfbench/run.py --seconds {seconds} --trace 0",
         "pairs": PAIRS,
         "traced_pairs": TRACED_PAIRS,

@@ -9,7 +9,7 @@ Covers, as SHA-256 digests:
 - `UniPoly.to_obj()` of the `poly_ext_gcd` results of seeded polynomial
   pairs with mixed-order coefficients;
 - the `dom_difference_inverse` and `dom_gap_inverse` witnesses of every
-  proper nonempty subset S of 0..d-1 for d <= 7;
+  proper nonempty subset S of 0..d-1 for d <= 8;
 - `slac_result_to_json` and `GapCertificate.to_json` on the bounded-width
   corpora, the magic square and small Z_3/Z_5 systems;
 - `relation_polynomial(rel).format_terms()`, and each coefficient's `order`
@@ -18,7 +18,7 @@ Covers, as SHA-256 digests:
   d <= 6 and arity <= 3, and the `to_obj()` of each of these polynomials'
   `eval` at every point of U_d^r;
 - `UniPoly.to_obj()` of `indicator_interpolant(S, d)` for every S with d <= 6;
-- `UniPoly.to_obj()` of `dom_polynomial(S, d)` for every S with d <= 7;
+- `UniPoly.to_obj()` of `dom_polynomial(S, d)` for every S with d <= 8;
 - `serialize_instance(linear_system_instance(system))` for the systems of
   `helpers.linear_system_corpus(10, 30)` (the golden test's set) and for 30
   more seeded systems over Z_2, Z_3 and Z_5;
@@ -339,7 +339,7 @@ def emit_field_outputs():
             continue
         objs = [x.to_obj() for x in poly_ext_gcd(p, m)]
         print(f"ext_gcd#{i} {digest(json.dumps(objs))}")
-    for d in range(2, 8):
+    for d in range(2, 9):
         for mask in range(1, 2 ** d - 1):
             members = [k for k in range(d) if mask >> k & 1]
             witnesses = (dom_difference_inverse(members, d), dom_gap_inverse(members, d))
@@ -348,7 +348,7 @@ def emit_field_outputs():
 
 
 def emit_encoder_outputs():
-    for d in range(1, 8):
+    for d in range(1, 9):
         for mask in range(2 ** d):
             members = [k for k in range(d) if mask >> k & 1]
             print(f"dom d={d} S={members} {digest(json.dumps(dom_polynomial(members, d).to_obj()))}")
